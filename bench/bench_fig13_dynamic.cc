@@ -9,12 +9,26 @@
  */
 
 #include <iostream>
+#include <string>
 
 #include "bench_common.hh"
 #include "stats/summary.hh"
 
 using namespace capart;
 using namespace capart::bench;
+
+namespace
+{
+
+/** Change of @p ratio from 1 in percent, signed: "+19.0", "-11.8". */
+std::string
+signedPct(double ratio)
+{
+    const double pct = (ratio - 1) * 100;
+    return (pct >= 0 ? "+" : "") + Table::num(pct, 1);
+}
+
+} // namespace
 
 int
 main(int argc, char **argv)
@@ -72,12 +86,12 @@ main(int argc, char **argv)
                "static allocation",
          t);
 
-    std::cout << "\nDynamic vs best-static background throughput: +"
-              << Table::num((dyn_ratio.mean() - 1) * 100, 1)
+    std::cout << "\nDynamic vs best-static background throughput: "
+              << signedPct(dyn_ratio.mean())
               << "% average (paper 19%), best "
               << Table::num(dyn_best, 2) << "x (paper up to 2.5x)\n"
-              << "Shared vs best-static: +"
-              << Table::num((shared_ratio.mean() - 1) * 100, 1)
+              << "Shared vs best-static: "
+              << signedPct(shared_ratio.mean())
               << "% (paper 53%, but without isolation)\n"
               << "Foreground cost of dynamic vs best static: "
               << Table::num(fg_delta.mean() * 100, 1)

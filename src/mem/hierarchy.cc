@@ -15,7 +15,8 @@ CacheHierarchy::CacheHierarchy(const HierarchyConfig &cfg,
         l2_.push_back(
             std::make_unique<SetAssocCache>(cfg.l2, seed + 100 + c));
     }
-    llc_ = std::make_unique<SetAssocCache>(cfg.llc, seed + 1000);
+    // The LLC's core-valid directory is sized to this core count.
+    llc_ = std::make_unique<SetAssocCache>(cfg.llc, seed + 1000, num_cores);
 }
 
 void
@@ -27,8 +28,9 @@ CacheHierarchy::writebackToLlc(CoreId core, unsigned slot, Addr line,
     // so this means the writeback raced a remask), re-install it. The
     // line may survive in the core's L1 (non-inclusive L2), so the
     // directory keeps the core marked.
-    if (llc_->markDirty(line)) {
-        llc_->noteInnerPresence(line, core);
+    const int way = llc_->markDirtyWay(line);
+    if (way >= 0) {
+        llc_->noteInnerPresenceAt(llc_->setIndex(line), way, core);
         return;
     }
     const CacheAccessResult res = llc_->fill(line, true, slot);
@@ -61,8 +63,7 @@ CacheHierarchy::handleLlcEviction(const CacheAccessResult &res,
     // (a superset — probing a non-holder is a harmless no-op), so
     // back-invalidation is O(holders) instead of O(cores); without a
     // directory (non-inclusive config, >64 cores) probe everyone.
-    const bool tracked =
-        llc_->tracksInnerPresence() && numCores() <= 64;
+    const bool tracked = llc_->tracksInnerPresence();
     for (unsigned c = 0; c < numCores(); ++c) {
         if (tracked && !((res.victimInner >> c) & 1ull))
             continue;

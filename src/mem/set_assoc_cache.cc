@@ -1,5 +1,7 @@
 #include "mem/set_assoc_cache.hh"
 
+#include <sys/mman.h>
+
 #include <bit>
 
 #include "common/logging.hh"
@@ -7,60 +9,102 @@
 namespace capart
 {
 
-SetAssocCache::SetAssocCache(const CacheConfig &cfg, std::uint64_t seed)
-    : cfg_(cfg),
-      sets_(cfg.sets()),
-      ways_(cfg.ways),
-      hashed_(cfg.index == IndexFn::Hashed),
-      legacy_((cfg.engine == CacheEngine::Auto ? defaultCacheEngine()
-                                               : cfg.engine) ==
-              CacheEngine::Legacy),
-      policy_(cfg.repl),
-      tags_(sets_ * ways_, 0),
-      owner_(sets_ * ways_, 0),
-      valid_(sets_, 0),
-      dirty_(sets_, 0),
-      fullMask_((cfg.ways >= 32) ? ~0u : ((1u << cfg.ways) - 1u)),
-      rng_(seed)
+ZeroedBlock::ZeroedBlock(std::size_t bytes) : bytes_(bytes)
 {
-    if (sets_ == 0 || !std::has_single_bit(sets_)) {
+    void *p = ::mmap(nullptr, bytes_, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED)
+        capart_fatal("cannot map " << bytes_ << " B of cache planes");
+    data_ = static_cast<std::byte *>(p);
+}
+
+ZeroedBlock::~ZeroedBlock()
+{
+    ::munmap(data_, bytes_);
+}
+
+namespace
+{
+
+/** Bytes per core-valid directory entry for @p cores inner cores. */
+unsigned
+innerPresenceBytes(unsigned cores)
+{
+    if (cores > 64)
+        return 0;
+    return cores <= 8 ? 1u : std::bit_ceil(cores) / 8;
+}
+
+/** Byte offsets of each plane in a cache's block, widest first. */
+struct PlaneLayout
+{
+    std::uint64_t metaAt, ageAt, innerAt, ownerAt, bytes;
+
+    PlaneLayout(std::uint64_t sets, unsigned ways, bool lru,
+                unsigned innerBytes)
+    {
+        const std::uint64_t lines = sets * ways;
+        metaAt = lines * sizeof(std::uint64_t);
+        ageAt = metaAt + sets * sizeof(SetMeta);
+        innerAt = ageAt + (lru ? lines * sizeof(std::uint32_t) : 0);
+        ownerAt = innerAt + lines * innerBytes;
+        bytes = ownerAt + lines;
+    }
+};
+
+/** Set count of @p cfg, which must be a power of two. */
+std::uint64_t
+checkedSets(const CacheConfig &cfg)
+{
+    const std::uint64_t sets = cfg.sets();
+    if (sets == 0 || !std::has_single_bit(sets)) {
         capart_fatal("cache '" << cfg.name << "': size "
                      << cfg.sizeBytes << " B / " << cfg.ways
                      << " ways / " << kLineBytes
-                     << " B lines yields " << sets_
+                     << " B lines yields " << sets
                      << " sets; the set count must be a power of two");
     }
+    return sets;
+}
+
+} // namespace
+
+SetAssocCache::SetAssocCache(const CacheConfig &cfg, std::uint64_t seed,
+                             unsigned innerCores)
+    : cfg_(cfg),
+      sets_(checkedSets(cfg)),
+      ways_(cfg.ways),
+      hashed_(cfg.index == IndexFn::Hashed),
+      policy_(cfg.repl),
+      // Inclusive caches keep a core-valid directory, one bit per inner
+      // core, so back-invalidation probes only cores that may actually
+      // hold the victim.
+      innerBytes_(cfg.inclusive ? innerPresenceBytes(innerCores) : 0),
+      planes_(PlaneLayout(sets_, ways_, policy_ == ReplPolicy::LRU,
+                          innerBytes_)
+                  .bytes),
+      fullMask_((cfg.ways >= 32) ? ~0u : ((1u << cfg.ways) - 1u)),
+      rng_(seed)
+{
     capart_assert(ways_ >= 1 && ways_ <= 32);
     const unsigned slots = cfg.partitionSlots ? cfg.partitionSlots : 1;
     masks_.assign(slots, WayMask::all(ways_));
     stats_.assign(slots, PartitionStats{});
-    // Inclusive caches keep a core-valid directory so back-invalidation
-    // probes only cores that may actually hold the victim.
-    if (cfg.inclusive)
-        inner_.assign(sets_ * ways_, 0);
 
-    if (legacy_) {
-        repl_ = ReplacementState::create(cfg, seed);
-        return;
-    }
-    switch (policy_) {
-      case ReplPolicy::LRU:
-        age_.assign(sets_ * ways_, 0);
-        clock_.assign(sets_, 0);
-        break;
-      case ReplPolicy::BitPLRU:
-      case ReplPolicy::NRU:
-        rbits_.assign(sets_, 0);
-        break;
-      case ReplPolicy::Random:
-        break;
-      case ReplPolicy::TreePLRU:
-        tree_.assign(sets_, 0);
+    const PlaneLayout at(sets_, ways_, policy_ == ReplPolicy::LRU,
+                         innerBytes_);
+    std::byte *base = planes_.data();
+    tags_ = reinterpret_cast<std::uint64_t *>(base);
+    meta_ = reinterpret_cast<SetMeta *>(base + at.metaAt);
+    age_ = reinterpret_cast<std::uint32_t *>(base + at.ageAt);
+    inner_ = reinterpret_cast<std::uint8_t *>(base + at.innerAt);
+    owner_ = reinterpret_cast<std::uint8_t *>(base + at.ownerAt);
+
+    if (policy_ == ReplPolicy::TreePLRU) {
         leaves_ = plruLeaves(ways_);
         levels_ = plruLevels(ways_);
         slotTables_.assign(
             slots, buildPlruMaskTable(ways_, WayMask::all(ways_).bits()));
-        break;
     }
 }
 
@@ -74,21 +118,6 @@ SetAssocCache::ownerOf(Addr line) const
     return owner_[set * ways_ + static_cast<unsigned>(way)];
 }
 
-bool
-SetAssocCache::markDirty(Addr line)
-{
-    const std::uint64_t set = setIndex(line);
-    const int way = findWay(set, line);
-    if (way < 0)
-        return false;
-    dirty_[set] |= (1u << way);
-    if (legacy_)
-        repl_->touch(set, static_cast<unsigned>(way));
-    else
-        replTouch(set, static_cast<unsigned>(way));
-    return true;
-}
-
 InvalidateResult
 SetAssocCache::invalidate(Addr line)
 {
@@ -96,26 +125,24 @@ SetAssocCache::invalidate(Addr line)
     const int way = findWay(set, line);
     if (way < 0)
         return InvalidateResult{};
+    const std::uint64_t idx = set * ways_ + static_cast<unsigned>(way);
     const std::uint32_t bit = 1u << static_cast<unsigned>(way);
+    SetMeta &m = meta_[set];
     InvalidateResult res;
     res.wasPresent = true;
-    res.wasDirty = (dirty_[set] & bit) != 0;
-    valid_[set] &= ~bit;
-    dirty_[set] &= ~bit;
-    tags_[set * ways_ + static_cast<unsigned>(way)] = 0;
-    if (!inner_.empty())
-        inner_[set * ways_ + static_cast<unsigned>(way)] = 0;
-    if (legacy_) {
-        repl_->invalidate(set, static_cast<unsigned>(way));
-        return res;
-    }
+    res.wasDirty = (m.dirty & bit) != 0;
+    m.valid &= ~bit;
+    m.dirty &= ~bit;
+    tags_[idx] = 0;
+    if (innerBytes_ != 0)
+        storeInner(idx, 0);
     switch (policy_) {
       case ReplPolicy::LRU:
-        age_[set * ways_ + static_cast<unsigned>(way)] = 0;
+        age_[idx] = 0;
         break;
       case ReplPolicy::BitPLRU:
       case ReplPolicy::NRU:
-        rbits_[set] &= ~bit;
+        m.repl &= ~bit;
         break;
       case ReplPolicy::Random:
       case ReplPolicy::TreePLRU:
@@ -133,7 +160,7 @@ SetAssocCache::setPartitionMask(unsigned slot, WayMask mask)
     capart_assert(!mask.empty());
     capart_assert((mask & WayMask::all(ways_)) == mask);
     masks_[slot] = mask;
-    if (!legacy_ && policy_ == ReplPolicy::TreePLRU)
+    if (policy_ == ReplPolicy::TreePLRU)
         slotTables_[slot] = buildPlruMaskTable(ways_, mask.bits());
 }
 
@@ -173,8 +200,8 @@ std::uint64_t
 SetAssocCache::residentLines() const
 {
     std::uint64_t n = 0;
-    for (std::uint32_t v : valid_)
-        n += std::popcount(v);
+    for (std::uint64_t set = 0; set < sets_; ++set)
+        n += std::popcount(meta_[set].valid);
     return n;
 }
 

@@ -7,32 +7,26 @@
  * only victim selection is restricted to the accessor's mask; and
  * changing a mask never flushes resident data.
  *
- * Two implementations share this class (DESIGN.md "fast-path layout"):
- *
- *  - the **fast engine** (default) keeps all state in flat contiguous
- *    planes — tags, inserter/owner ids, and per-policy replacement
- *    bits — and dispatches replacement with a switch on a member enum,
- *    so the entire access path inlines into callers with no virtual
- *    calls. Tree-PLRU victims descend precomputed per-mask traversal
- *    tables (mem/plru_tables.hh) branch-free.
- *  - the **legacy engine** is the original virtual-dispatch
- *    @ref ReplacementState machinery, kept as a bit-exact reference:
- *    tests/test_mem_differential.cc and the golden suite prove both
- *    engines produce identical hit/miss/victim streams and identical
- *    sweep results before the legacy path may be deleted.
- *
- * Selection: CacheConfig::engine, resolving Auto through
- * defaultCacheEngine() (overridable via setDefaultCacheEngine() or
- * `CAPART_CACHE_ENGINE=legacy`).
+ * State lives in flat contiguous planes carved from one block per
+ * cache (DESIGN.md "cache engine layout"): per-way tags and
+ * inserter/owner ids, one packed @ref SetMeta record per set (valid,
+ * dirty and replacement words), and, for inclusive caches, a
+ * core-valid directory sized to the core count. Replacement
+ * dispatches with a switch on a member enum, so the access path
+ * inlines into callers with no virtual calls; tree-PLRU victims
+ * descend precomputed per-mask traversal tables (mem/plru_tables.hh)
+ * branch-free. tests/test_mem_differential.cc replays random streams
+ * against a naive reference model of every policy.
  */
 
 #ifndef CAPART_MEM_SET_ASSOC_CACHE_HH
 #define CAPART_MEM_SET_ASSOC_CACHE_HH
 
 #include <bit>
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <limits>
-#include <memory>
 #include <vector>
 
 #include "common/logging.hh"
@@ -40,7 +34,6 @@
 #include "common/types.hh"
 #include "mem/cache_config.hh"
 #include "mem/plru_tables.hh"
-#include "mem/replacement.hh"
 #include "mem/way_mask.hh"
 
 namespace capart
@@ -103,6 +96,41 @@ mix64(std::uint64_t x)
 } // namespace detail
 
 /**
+ * Per-set metadata, packed so one lookup touches a single record
+ * instead of one word in each of several per-set planes.
+ */
+struct SetMeta
+{
+    std::uint32_t valid = 0; //!< bit w set: way w holds a line
+    std::uint32_t dirty = 0; //!< bit w set: way w's line is dirty
+    /** BitPLRU MRU bits, NRU reference bits or TreePLRU direction bits. */
+    std::uint32_t repl = 0;
+    std::uint32_t clock = 0; //!< LRU tick counter
+};
+
+/**
+ * Zeroed memory mapped straight from the OS and unmapped on
+ * destruction. Cache planes live in one such block: pages are zeroed
+ * lazily on first touch, and a destroyed cache returns its pages
+ * instead of leaving a large free chunk in the heap for smaller
+ * allocations to split.
+ */
+class ZeroedBlock
+{
+  public:
+    explicit ZeroedBlock(std::size_t bytes);
+    ~ZeroedBlock();
+    ZeroedBlock(const ZeroedBlock &) = delete;
+    ZeroedBlock &operator=(const ZeroedBlock &) = delete;
+
+    std::byte *data() const { return data_; }
+
+  private:
+    std::byte *data_;
+    std::size_t bytes_;
+};
+
+/**
  * A single cache level: tag array, per-set replacement state, and
  * optional partition way masks.
  */
@@ -110,10 +138,17 @@ class SetAssocCache
 {
   public:
     /**
-     * @param cfg   geometry/policy; sets() must be a power of two.
-     * @param seed  RNG seed (only the Random policy consumes it).
+     * @param cfg         geometry/policy; sets() must be a power of two.
+     * @param seed        RNG seed (only the Random policy consumes it).
+     * @param innerCores  cores whose private caches an inclusive cache
+     *                    tracks. Its core-valid directory keeps 8, 16,
+     *                    32 or 64 bits per line for up to 8, 16, 32 or
+     *                    64 cores, and none above 64 (back-invalidation
+     *                    then probes every core). Ignored unless
+     *                    cfg.inclusive.
      */
-    explicit SetAssocCache(const CacheConfig &cfg, std::uint64_t seed = 1);
+    explicit SetAssocCache(const CacheConfig &cfg, std::uint64_t seed = 1,
+                           unsigned innerCores = 64);
 
     /**
      * Demand access (read or write) by partition @p slot.
@@ -156,12 +191,10 @@ class SetAssocCache
     void
     noteInnerPresence(Addr line, unsigned core)
     {
-        if (inner_.empty() || core >= 64)
+        if (innerBytes_ == 0)
             return;
         const std::uint64_t set = setIndex(line);
-        const int way = findWay(set, line);
-        if (way >= 0)
-            inner_[set * ways_ + way] |= 1ull << core;
+        noteInnerPresenceAt(set, findWay(set, line), core);
     }
 
     /**
@@ -172,16 +205,26 @@ class SetAssocCache
     void
     noteInnerPresenceAt(std::uint64_t set, std::int32_t way, unsigned core)
     {
-        if (inner_.empty() || way < 0 || core >= 64)
+        if (way < 0 || core >= innerPresenceBits())
             return;
-        inner_[set * ways_ + static_cast<unsigned>(way)] |= 1ull << core;
+        const std::uint64_t idx = set * ways_ + static_cast<unsigned>(way);
+        storeInner(idx, loadInner(idx) | (1ull << core));
     }
 
     /** Inner-presence directory allocated (inclusive caches only). */
-    bool tracksInnerPresence() const { return !inner_.empty(); }
+    bool tracksInnerPresence() const { return innerBytes_ != 0; }
+
+    /** Core-valid bits per directory entry; 0 without a directory. */
+    unsigned innerPresenceBits() const { return innerBytes_ * 8; }
 
     /** Mark a resident line dirty (inner writeback hit); no-op if absent. */
-    bool markDirty(Addr line);
+    bool markDirty(Addr line) { return markDirtyWay(line) >= 0; }
+
+    /**
+     * As markDirty, but returns the way of the line (-1 if absent), so
+     * a caller can update the directory without a second lookup.
+     */
+    int markDirtyWay(Addr line);
 
     /** Refresh replacement recency of a resident line; no-op if absent. */
     bool touchLine(Addr line) { return touchLineWay(line) >= 0; }
@@ -199,12 +242,6 @@ class SetAssocCache
 
     const CacheConfig &config() const { return cfg_; }
     std::uint64_t sets() const { return sets_; }
-
-    /** Which implementation services this cache (never Auto). */
-    CacheEngine engine() const
-    {
-        return legacy_ ? CacheEngine::Legacy : CacheEngine::Fast;
-    }
 
     const PartitionStats &slotStats(unsigned slot) const;
     /** Aggregate over all slots. */
@@ -224,7 +261,7 @@ class SetAssocCache
     forEachResident(Fn &&fn) const
     {
         for (std::uint64_t set = 0; set < sets_; ++set) {
-            const std::uint32_t valid = valid_[set];
+            const std::uint32_t valid = meta_[set].valid;
             if (!valid)
                 continue;
             for (unsigned way = 0; way < ways_; ++way) {
@@ -250,7 +287,7 @@ class SetAssocCache
     {
         const std::uint64_t tag = line + 1;
         const std::uint64_t base = set * ways_;
-        std::uint32_t v = valid_[set];
+        std::uint32_t v = meta_[set].valid;
         while (v) {
             const unsigned w = static_cast<unsigned>(std::countr_zero(v));
             if (tags_[base + w] == tag)
@@ -260,30 +297,82 @@ class SetAssocCache
         return -1;
     }
 
-    /** Fast-engine recency update; bit-identical to the legacy states. */
+    /** Directory entry @p idx (requires a directory). */
+    std::uint64_t
+    loadInner(std::uint64_t idx) const
+    {
+        const std::uint8_t *p = inner_ + idx * innerBytes_;
+        switch (innerBytes_) {
+          case 1:
+            return *p;
+          case 2: {
+            std::uint16_t v;
+            std::memcpy(&v, p, sizeof v);
+            return v;
+          }
+          case 4: {
+            std::uint32_t v;
+            std::memcpy(&v, p, sizeof v);
+            return v;
+          }
+          default: {
+            std::uint64_t v;
+            std::memcpy(&v, p, sizeof v);
+            return v;
+          }
+        }
+    }
+
+    /** Overwrite directory entry @p idx with the low bits of @p mask. */
+    void
+    storeInner(std::uint64_t idx, std::uint64_t mask)
+    {
+        std::uint8_t *p = inner_ + idx * innerBytes_;
+        switch (innerBytes_) {
+          case 1:
+            *p = static_cast<std::uint8_t>(mask);
+            return;
+          case 2: {
+            const auto v = static_cast<std::uint16_t>(mask);
+            std::memcpy(p, &v, sizeof v);
+            return;
+          }
+          case 4: {
+            const auto v = static_cast<std::uint32_t>(mask);
+            std::memcpy(p, &v, sizeof v);
+            return;
+          }
+          default:
+            std::memcpy(p, &mask, sizeof mask);
+            return;
+        }
+    }
+
+    /** Recency update of @p way in @p set under the configured policy. */
     void
     replTouch(std::uint64_t set, unsigned way)
     {
+        SetMeta &m = meta_[set];
         switch (policy_) {
           case ReplPolicy::LRU:
-            age_[set * ways_ + way] = ++clock_[set];
+            age_[set * ways_ + way] = ++m.clock;
             return;
           case ReplPolicy::BitPLRU: {
-            std::uint32_t bits = rbits_[set] | (1u << way);
+            std::uint32_t bits = m.repl | (1u << way);
             // Saturation: when every way is marked MRU, restart the
             // epoch but keep the just-touched way marked.
             if ((bits & fullMask_) == fullMask_)
                 bits = (1u << way);
-            rbits_[set] = bits;
+            m.repl = bits;
             return;
           }
           case ReplPolicy::NRU:
-            rbits_[set] |= (1u << way);
+            m.repl |= (1u << way);
             return;
           case ReplPolicy::Random:
             return;
           case ReplPolicy::TreePLRU: {
-            std::uint32_t state = tree_[set];
+            std::uint32_t state = m.repl;
             unsigned node = leaves_ + way;
             while (node > 1) {
                 const unsigned parent = node >> 1;
@@ -292,18 +381,19 @@ class SetAssocCache
                 state = (state & ~(1u << parent)) | (away << parent);
                 node = parent;
             }
-            tree_[set] = state;
+            m.repl = state;
             return;
           }
         }
     }
 
-    /** Fast-engine victim inside @p slot's mask (invalid ways first). */
+    /** Victim inside @p slot's mask (invalid ways first). */
     unsigned
     replVictim(std::uint64_t set, unsigned slot)
     {
+        SetMeta &m = meta_[set];
         const std::uint32_t allowed = masks_[slot].bits();
-        const std::uint32_t invalid = allowed & ~valid_[set];
+        const std::uint32_t invalid = allowed & ~m.valid;
         if (invalid != 0)
             return static_cast<unsigned>(std::countr_zero(invalid));
 
@@ -328,18 +418,20 @@ class SetAssocCache
             return best;
           }
           case ReplPolicy::BitPLRU: {
-            const std::uint32_t clear = allowed & ~rbits_[set];
+            const std::uint32_t clear = allowed & ~m.repl;
             if (clear != 0)
                 return static_cast<unsigned>(std::countr_zero(clear));
             // Every allowed way is MRU-marked: treat the mask as one
             // epoch and take the lowest allowed way.
-            rbits_[set] &= ~allowed;
+            m.repl &= ~allowed;
             return static_cast<unsigned>(std::countr_zero(allowed));
           }
           case ReplPolicy::NRU: {
-            std::uint32_t clear = allowed & ~rbits_[set];
+            std::uint32_t clear = allowed & ~m.repl;
             if (clear == 0) {
-                rbits_[set] &= ~allowed;
+                // No not-recently-used candidate: clear the reference
+                // bits (the NRU "second chance" sweep) and retry.
+                m.repl &= ~allowed;
                 clear = allowed;
             }
             return static_cast<unsigned>(std::countr_zero(clear));
@@ -358,7 +450,7 @@ class SetAssocCache
             // follow the direction bits, flipping only where the
             // pointed-to subtree holds no allowed way.
             const PlruMaskTable &tbl = slotTables_[slot];
-            const std::uint32_t state = tree_[set];
+            const std::uint32_t state = m.repl;
             unsigned node = 1;
             for (unsigned lvl = 0; lvl < levels_; ++lvl) {
                 const unsigned want = (state >> node) & 1u;
@@ -371,42 +463,47 @@ class SetAssocCache
         capart_panic("unknown replacement policy");
     }
 
+    /** Hit on @p way of @p set: refresh recency, maybe mark dirty. */
+    void
+    hitWay(std::uint64_t set, unsigned way, bool dirty)
+    {
+        replTouch(set, way);
+        if (dirty)
+            meta_[set].dirty |= (1u << way);
+    }
+
     CacheAccessResult
     insert(std::uint64_t set, Addr line, bool dirty, unsigned slot)
     {
         CacheAccessResult res;
         res.set = set;
         capart_assert(!masks_[slot].empty());
-        const unsigned victim = legacy_
-            ? repl_->victim(set, masks_[slot], valid_[set])
-            : replVictim(set, slot);
+        const unsigned victim = replVictim(set, slot);
         capart_assert(victim < ways_);
         capart_assert(masks_[slot].contains(victim));
         res.way = static_cast<std::int32_t>(victim);
 
+        SetMeta &m = meta_[set];
         const std::uint64_t idx = set * ways_ + victim;
         const std::uint32_t bit = 1u << victim;
-        if (valid_[set] & bit) {
+        if (m.valid & bit) {
             res.evicted = true;
             res.victimLine = tags_[idx] - 1;
-            res.victimDirty = (dirty_[set] & bit) != 0;
+            res.victimDirty = (m.dirty & bit) != 0;
         }
-        if (!inner_.empty()) {
-            res.victimInner = inner_[idx];
-            inner_[idx] = 0; // new line starts with no inner copies
+        if (innerBytes_ != 0) {
+            res.victimInner = loadInner(idx);
+            storeInner(idx, 0); // new line starts with no inner copies
         }
 
         tags_[idx] = line + 1;
         owner_[idx] = static_cast<std::uint8_t>(slot);
-        valid_[set] |= bit;
+        m.valid |= bit;
         if (dirty)
-            dirty_[set] |= bit;
+            m.dirty |= bit;
         else
-            dirty_[set] &= ~bit;
-        if (legacy_)
-            repl_->touch(set, victim);
-        else
-            replTouch(set, victim);
+            m.dirty &= ~bit;
+        replTouch(set, victim);
         return res;
     }
 
@@ -414,33 +511,32 @@ class SetAssocCache
     std::uint64_t sets_;
     unsigned ways_;
     bool hashed_;
-    bool legacy_;
     ReplPolicy policy_;
 
-    // ---- SoA planes (fast-path layout; see DESIGN.md) ---------------
-    /** tag[set*ways+way] = lineAddr+1; 0 means invalid. */
-    std::vector<std::uint64_t> tags_;
-    /** owner[set*ways+way] = partition slot that inserted the line. */
-    std::vector<std::uint8_t> owner_;
-    /** inner[set*ways+way] = core-valid mask (inclusive caches only). */
-    std::vector<std::uint64_t> inner_;
-    std::vector<std::uint32_t> valid_; //!< per-set valid bitmask
-    std::vector<std::uint32_t> dirty_; //!< per-set dirty bitmask
+    unsigned innerBytes_; //!< directory entry width; 0 = none
 
-    // ---- fast-engine replacement planes (policy-dependent) ----------
-    std::vector<std::uint32_t> age_;   //!< LRU: age[set*ways+way]
-    std::vector<std::uint32_t> clock_; //!< LRU: per-set tick counter
-    std::vector<std::uint32_t> rbits_; //!< BitPLRU mru / NRU ref bits
-    std::vector<std::uint32_t> tree_;  //!< TreePLRU direction bits
+    // ---- flat planes (cache engine layout; see DESIGN.md) -----------
+    /** Backing store of every plane below. */
+    ZeroedBlock planes_;
+    /** tag[set*ways+way] = lineAddr+1; 0 means invalid. */
+    std::uint64_t *tags_;
+    /** One valid/dirty/replacement record per set. */
+    SetMeta *meta_;
+    std::uint32_t *age_; //!< LRU only: age[set*ways+way]
+    /**
+     * Core-valid directory (inclusive caches only): entry
+     * set*ways+way is innerBytes_ bytes wide, read and written through
+     * loadInner()/storeInner().
+     */
+    std::uint8_t *inner_;
+    /** owner[set*ways+way] = partition slot that inserted the line. */
+    std::uint8_t *owner_;
     /** TreePLRU traversal table per partition slot (mask-derived). */
     std::vector<PlruMaskTable> slotTables_;
     unsigned leaves_ = 1;   //!< TreePLRU padded leaf count
     unsigned levels_ = 0;   //!< TreePLRU tree depth
     std::uint32_t fullMask_; //!< all `ways_` bits set
     Rng rng_;                //!< Random policy only
-
-    /** Legacy engine (engine() == Legacy); null on the fast path. */
-    std::unique_ptr<ReplacementState> repl_;
 
     std::vector<WayMask> masks_;
     std::vector<PartitionStats> stats_;
@@ -456,12 +552,7 @@ SetAssocCache::access(Addr line, bool write, unsigned slot)
     const int way = findWay(set, line);
     if (way >= 0) {
         ++stats_[slot].hits;
-        if (legacy_)
-            repl_->touch(set, static_cast<unsigned>(way));
-        else
-            replTouch(set, static_cast<unsigned>(way));
-        if (write)
-            dirty_[set] |= (1u << way);
+        hitWay(set, static_cast<unsigned>(way), write);
         return CacheAccessResult{.hit = true, .set = set, .way = way};
     }
     return insert(set, line, write, slot);
@@ -474,12 +565,7 @@ SetAssocCache::fill(Addr line, bool dirty, unsigned slot)
     const std::uint64_t set = setIndex(line);
     const int way = findWay(set, line);
     if (way >= 0) {
-        if (legacy_)
-            repl_->touch(set, static_cast<unsigned>(way));
-        else
-            replTouch(set, static_cast<unsigned>(way));
-        if (dirty)
-            dirty_[set] |= (1u << way);
+        hitWay(set, static_cast<unsigned>(way), dirty);
         return CacheAccessResult{.hit = true, .set = set, .way = way};
     }
     return insert(set, line, dirty, slot);
@@ -490,12 +576,18 @@ SetAssocCache::touchLineWay(Addr line)
 {
     const std::uint64_t set = setIndex(line);
     const int way = findWay(set, line);
-    if (way < 0)
-        return -1;
-    if (legacy_)
-        repl_->touch(set, static_cast<unsigned>(way));
-    else
+    if (way >= 0)
         replTouch(set, static_cast<unsigned>(way));
+    return way;
+}
+
+inline int
+SetAssocCache::markDirtyWay(Addr line)
+{
+    const std::uint64_t set = setIndex(line);
+    const int way = findWay(set, line);
+    if (way >= 0)
+        hitWay(set, static_cast<unsigned>(way), true);
     return way;
 }
 

@@ -26,7 +26,6 @@
 #include "exec/experiment_spec.hh"
 #include "exec/result_cache.hh"
 #include "exec/sweep_runner.hh"
-#include "mem/cache_config.hh"
 #include "stats/summary.hh"
 #include "workload/catalog.hh"
 
@@ -184,28 +183,37 @@ TEST(Golden, DynamicForegroundWithinTwoPercentOfBestStatic)
     EXPECT_LT(worst_pts, 5.0);
 }
 
+/** FNV-1a 64-bit over @p s, continuing from @p h. */
+std::uint64_t
+fnv1a64(const std::string &s, std::uint64_t h = 14695981039346656037ull)
+{
+    for (const unsigned char c : s) {
+        h ^= c;
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
 /**
- * Engine bit-identity at golden seed 12345: the flat-array fast cache
- * engine and the legacy virtual-dispatch engine must produce
- * *byte-identical* sweep points on the fig13 workload. The spec list
- * is the fig13 `--quick` matrix (consolidation pairs under
- * Shared/Biased/Dynamic, scale 0.06 * 0.3, perf window 15 us)
- * restricted to three cluster representatives so the double run stays
- * unit-test sized. Points are compared through ResultCache::encode —
- * the exact hexfloat line a point record/result cache stores — so any
- * engine divergence in any serialized metric fails byte-for-byte.
- *
- * This test is the contract that gates deleting the legacy engine:
- * only once it (plus the differential suite) has passed in CI may the
- * legacy path go.
+ * Simulator bit-identity at golden seed 12345: the fig13 `--quick`
+ * matrix (consolidation pairs under Shared/Biased/Dynamic, scale
+ * 0.06 * 0.3, perf window 15 us), restricted to three cluster
+ * representatives to stay unit-test sized, must reproduce a pinned
+ * digest. The digest is FNV-1a over every point's
+ * ResultCache::encode line — the exact hexfloat text a point record
+ * or result cache stores — so any change to any serialized metric of
+ * any point fails here. A refactor of the cache engine or the access
+ * path must leave it alone; a change that alters simulated output on
+ * purpose must re-pin it and say why.
  */
-TEST(Golden, FastEngineBitIdenticalToLegacyOnFig13Quick)
+TEST(Golden, Fig13QuickResultDigestPinned)
 {
     // C1 (LLC-sensitive), C3 (scalable, cache-indifferent), C4
     // (saturated, cache-sensitive) — the contention-relevant corners
     // of the six-cluster representative set.
     const std::vector<std::string> reps = {"429.mcf", "ferret", "fop"};
     constexpr double kQuickScale = 0.06 * 0.3;
+    constexpr std::uint64_t kPinnedDigest = 0x628494db33baa1d6ULL;
 
     const unsigned policies = policyBit(Policy::Shared) |
                               policyBit(Policy::Biased) |
@@ -217,19 +225,13 @@ TEST(Golden, FastEngineBitIdenticalToLegacyOnFig13Quick)
                                               kQuickScale,
                                               /*perf_window=*/15e-6));
 
-    setDefaultCacheEngine(CacheEngine::Legacy);
-    const std::vector<SweepResult> legacy = runGolden(specs);
-    setDefaultCacheEngine(CacheEngine::Fast);
-    const std::vector<SweepResult> fast = runGolden(specs);
-    setDefaultCacheEngine(CacheEngine::Auto);
-
-    ASSERT_EQ(legacy.size(), fast.size());
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-        EXPECT_EQ(ResultCache::encode(legacy[i]),
-                  ResultCache::encode(fast[i]))
-            << "point " << i << " (" << specs[i].canonical()
-            << ") diverged between engines";
-    }
+    const std::vector<SweepResult> res = runGolden(specs);
+    ASSERT_EQ(res.size(), specs.size());
+    std::uint64_t digest = fnv1a64("");
+    for (const SweepResult &r : res)
+        digest = fnv1a64(ResultCache::encode(r) + "\n", digest);
+    EXPECT_EQ(digest, kPinnedDigest)
+        << "fig13 --quick digest is now 0x" << std::hex << digest;
 }
 
 /**

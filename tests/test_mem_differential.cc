@@ -37,9 +37,11 @@ namespace
 {
 
 /**
- * Naive mirror of SetAssocCache for LRU, BitPLRU, and TreePLRU. Every
+ * Naive mirror of SetAssocCache for every replacement policy. Every
  * structure is a plain per-way vector and every decision a loop over
- * ways; no bit tricks shared with the implementation under test. Set
+ * ways; no bit tricks shared with the implementation under test. The
+ * Random policy draws from its own Rng seeded like the cache's, so
+ * both must consume the same sequence of draws. Set
  * indexing is delegated to the hardware model (the public setIndex())
  * so the hashed indexing function is exercised too — the model then
  * has to agree on everything that *happens* at that set.
@@ -47,7 +49,8 @@ namespace
 class RefCache
 {
   public:
-    RefCache(const SetAssocCache &hw, ReplPolicy repl, unsigned slots)
+    RefCache(const SetAssocCache &hw, ReplPolicy repl, unsigned slots,
+             std::uint64_t seed)
         : hw_(&hw),
           sets_(hw.sets()),
           ways_(hw.config().ways),
@@ -59,7 +62,8 @@ class RefCache
           age_(sets_ * ways_, 0),
           clock_(sets_, 0),
           mru_(sets_ * ways_, 0),
-          masks_(slots, WayMask::all(ways_))
+          masks_(slots, WayMask::all(ways_)),
+          rng_(seed)
     {
         // Padded leaf count of the tree-PLRU tree: the smallest power
         // of two covering the ways (computed the obvious way).
@@ -113,10 +117,10 @@ class RefCache
         dirty_[at(set, way)] = 0;
         if (repl_ == ReplPolicy::LRU)
             age_[at(set, way)] = 0;
-        else if (repl_ == ReplPolicy::BitPLRU)
+        else if (repl_ == ReplPolicy::BitPLRU || repl_ == ReplPolicy::NRU)
             mru_[at(set, way)] = 0;
-        // TreePLRU: direction bits are left alone — victim selection
-        // prefers invalid allowed ways before consulting the tree.
+        // TreePLRU and Random: nothing to forget — victim selection
+        // prefers invalid allowed ways before consulting any state.
         return res;
     }
 
@@ -207,9 +211,14 @@ class RefCache
             }
             return;
         }
+        if (repl_ == ReplPolicy::Random)
+            return;
+        // NRU: set the reference bit, nothing more.
         // Bit-PLRU: mark MRU; when every way of the set is marked, the
         // epoch restarts with only the just-touched way marked.
         mru_[at(set, static_cast<int>(way))] = 1;
+        if (repl_ == ReplPolicy::NRU)
+            return;
         bool all = true;
         for (unsigned w = 0; w < ways_; ++w)
             all = all && mru_[at(set, static_cast<int>(w))];
@@ -259,8 +268,20 @@ class RefCache
             EXPECT_TRUE(found);
             return best;
         }
-        // Bit-PLRU: first allowed way without its MRU bit; if all
-        // allowed ways are marked, clear them and take the lowest.
+        if (repl_ == ReplPolicy::Random) {
+            // Uniform draw k in [0, allowed ways), then the k-th
+            // allowed way counting up from way 0.
+            std::uint64_t k = rng_.below(allowed.count());
+            for (unsigned w = 0; w < ways_; ++w) {
+                if (allowed.contains(w) && k-- == 0)
+                    return w;
+            }
+            ADD_FAILURE() << "random pick ran past the allowed ways";
+            return 0;
+        }
+        // Bit-PLRU and NRU: first allowed way without its MRU /
+        // reference bit; if all allowed ways are marked, clear them and
+        // take the lowest.
         for (unsigned w = 0; w < ways_; ++w) {
             if (allowed.contains(w) && !mru_[at(set, static_cast<int>(w))])
                 return w;
@@ -308,11 +329,12 @@ class RefCache
     std::vector<unsigned> inserter_;
     std::vector<std::uint32_t> age_; //!< LRU
     std::vector<std::uint32_t> clock_;
-    std::vector<std::uint8_t> mru_; //!< bit-PLRU
+    std::vector<std::uint8_t> mru_; //!< bit-PLRU MRU / NRU reference
     unsigned leaves_ = 1;           //!< tree-PLRU padded leaf count
     /** tree-PLRU direction per (set, heap node): 0 left, 1 right. */
     std::vector<std::uint8_t> treeDir_;
     std::vector<WayMask> masks_;
+    Rng rng_; //!< Random only
 };
 
 CacheConfig
@@ -366,7 +388,7 @@ runDifferential(ReplPolicy repl, IndexFn index, std::uint64_t seed,
 
     const CacheConfig cfg = diffCache(repl, index, kWays, kSets, kSlots);
     SetAssocCache hw(cfg, seed);
-    RefCache ref(hw, repl, kSlots);
+    RefCache ref(hw, repl, kSlots, seed);
     Rng rng(seed);
 
     for (unsigned op = 0; op < kOps; ++op) {
@@ -515,80 +537,12 @@ TEST(MemProperty, FuzzRandomGeometriesAndPolicies)
 }
 
 /**
- * Fast-vs-legacy differential: replay one random stream — including
- * live remasks, fills, and back-invalidations — against the flat-array
- * fast engine and the original virtual-dispatch legacy engine, and
- * require identical outcomes on every operation. This is the bit-exact
- * equivalence proof that gates deleting the legacy path; it covers all
- * five policies (Random included: both engines must consume their RNG
- * in the same sequence).
+ * Every policy — NRU and Random included — over the stream shape of
+ * runDifferential at 100k operations: live remasks, fills and
+ * back-invalidations. Random only agrees if the cache and the
+ * reference draw the same Rng sequence, one draw per full-set miss.
  */
-void
-runEngineDifferential(ReplPolicy repl, IndexFn index, std::uint64_t seed,
-                      unsigned ways, unsigned sets, unsigned ops)
-{
-    constexpr unsigned kSlots = 4;
-    CacheConfig fast_cfg = diffCache(repl, index, ways, sets, kSlots);
-    fast_cfg.engine = CacheEngine::Fast;
-    CacheConfig legacy_cfg = fast_cfg;
-    legacy_cfg.engine = CacheEngine::Legacy;
-
-    SetAssocCache fast(fast_cfg, seed);
-    SetAssocCache legacy(legacy_cfg, seed);
-    ASSERT_EQ(fast.engine(), CacheEngine::Fast);
-    ASSERT_EQ(legacy.engine(), CacheEngine::Legacy);
-
-    const Addr kLines = 2ull * sets * ways;
-    Rng rng(seed);
-    for (unsigned op = 0; op < ops; ++op) {
-        if (rng.chance(0.005)) {
-            const unsigned slot = static_cast<unsigned>(rng.below(kSlots));
-            const auto bits = static_cast<std::uint32_t>(
-                rng.below((1u << ways) - 1) + 1);
-            fast.setPartitionMask(slot, WayMask(bits));
-            legacy.setPartitionMask(slot, WayMask(bits));
-        }
-
-        const Addr line = rng.below(kLines);
-        const unsigned slot = static_cast<unsigned>(rng.below(kSlots));
-
-        if (rng.chance(0.02)) {
-            const InvalidateResult f = fast.invalidate(line);
-            const InvalidateResult l = legacy.invalidate(line);
-            ASSERT_EQ(f.wasPresent, l.wasPresent) << "op " << op;
-            ASSERT_EQ(f.wasDirty, l.wasDirty) << "op " << op;
-            continue;
-        }
-
-        const bool write = rng.chance(0.3);
-        CacheAccessResult f;
-        CacheAccessResult l;
-        if (rng.chance(0.1)) {
-            f = fast.fill(line, write, slot);
-            l = legacy.fill(line, write, slot);
-        } else {
-            f = fast.access(line, write, slot);
-            l = legacy.access(line, write, slot);
-        }
-        ASSERT_EQ(f.hit, l.hit) << "op " << op << " line " << line;
-        ASSERT_EQ(f.evicted, l.evicted) << "op " << op;
-        if (f.evicted) {
-            ASSERT_EQ(f.victimLine, l.victimLine) << "op " << op;
-            ASSERT_EQ(f.victimDirty, l.victimDirty) << "op " << op;
-        }
-        ASSERT_EQ(fast.wayOf(line), legacy.wayOf(line)) << "op " << op;
-        ASSERT_EQ(fast.ownerOf(line), legacy.ownerOf(line)) << "op " << op;
-    }
-
-    // Full-state parity at the end: every resident line of the legacy
-    // engine sits in the same way of the fast engine.
-    ASSERT_EQ(fast.residentLines(), legacy.residentLines());
-    legacy.forEachResident([&](Addr line, unsigned way) {
-        EXPECT_EQ(fast.wayOf(line), static_cast<int>(way));
-    });
-}
-
-TEST(MemEngineDifferential, AllPoliciesAgreeAcrossEngines)
+TEST(MemDifferential, AllPoliciesAgreeWithReference)
 {
     constexpr ReplPolicy kAll[] = {
         ReplPolicy::LRU, ReplPolicy::BitPLRU, ReplPolicy::NRU,
@@ -596,17 +550,20 @@ TEST(MemEngineDifferential, AllPoliciesAgreeAcrossEngines)
     std::uint64_t seed = 808;
     for (const ReplPolicy repl : kAll) {
         SCOPED_TRACE(static_cast<int>(repl));
-        runEngineDifferential(repl, IndexFn::Hashed, seed++, 8, 16,
-                              100000);
+        runDifferential(repl, IndexFn::Hashed, seed++, 8, 16, 4, 100000);
     }
 }
 
-TEST(MemEngineDifferential, WideAssociativityAndModuloIndexing)
+TEST(MemDifferential, WideAssociativityAndModuloIndexing)
 {
-    runEngineDifferential(ReplPolicy::TreePLRU, IndexFn::Modulo, 909,
-                          /*ways=*/20, /*sets=*/64, 100000);
-    runEngineDifferential(ReplPolicy::LRU, IndexFn::Modulo, 910,
-                          /*ways=*/16, /*sets=*/128, 60000);
+    runDifferential(ReplPolicy::TreePLRU, IndexFn::Modulo, 909,
+                    /*ways=*/20, /*sets=*/64, 4, 100000);
+    runDifferential(ReplPolicy::LRU, IndexFn::Modulo, 910,
+                    /*ways=*/16, /*sets=*/128, 4, 60000);
+    runDifferential(ReplPolicy::NRU, IndexFn::Modulo, 911,
+                    /*ways=*/20, /*sets=*/64, 4, 60000);
+    runDifferential(ReplPolicy::Random, IndexFn::Modulo, 912,
+                    /*ways=*/12, /*sets=*/64, 4, 60000);
 }
 
 /**
@@ -621,7 +578,7 @@ TEST(MemDifferential, OccupancyBoundedByMaskPopcount)
     const CacheConfig cfg =
         diffCache(ReplPolicy::BitPLRU, IndexFn::Hashed, kWays, kSets, 2);
     SetAssocCache hw(cfg, 4242);
-    RefCache ref(hw, ReplPolicy::BitPLRU, 2);
+    RefCache ref(hw, ReplPolicy::BitPLRU, 2, 4242);
 
     const WayMask fg = WayMask::range(0, 3); // ways 0..2
     const WayMask bg = WayMask::range(3, 5); // ways 3..7

@@ -126,6 +126,89 @@ TEST(Hierarchy, InclusionHoldsWithPartitioningAndRemask)
     checkInclusion(h, lines);
 }
 
+/**
+ * The inclusive LLC's core-valid directory is sized to the core count:
+ * 8, 16, 32 or 64 bits per line up to 8, 16, 32 or 64 cores, none
+ * above. At every width, a random multi-core stream that forces LLC
+ * evictions (demand loads and stores plus both prefetch fill paths,
+ * over lines shared between cores) must keep inclusion and produce
+ * exactly the outcomes of a probe-all run — the same machine with a
+ * non-inclusive LLC config, which keeps no directory and
+ * back-invalidates every core.
+ */
+TEST(Hierarchy, DirectoryWidthFollowsCoreCount)
+{
+    struct WidthCase
+    {
+        unsigned cores;
+        unsigned bits;
+    };
+    constexpr WidthCase kCases[] = {{1, 8},   {8, 8},   {9, 16},
+                                    {16, 16}, {17, 32}, {32, 32},
+                                    {33, 64}, {64, 64}, {65, 0}};
+    constexpr Addr kLines = 2048; // ~2.7x the tiny LLC's 768 lines
+
+    for (const WidthCase &wc : kCases) {
+        SCOPED_TRACE(testing::Message() << wc.cores << " cores");
+        const HierarchyConfig cfg = tinyHierarchy();
+        HierarchyConfig probe_all_cfg = cfg;
+        probe_all_cfg.llc.inclusive = false;
+        CacheHierarchy h(cfg, wc.cores);
+        CacheHierarchy probe_all(probe_all_cfg, wc.cores);
+        ASSERT_EQ(h.llc().innerPresenceBits(), wc.bits);
+        ASSERT_FALSE(probe_all.llc().tracksInnerPresence());
+
+        Rng rng(1000 + wc.cores);
+        unsigned dram_writes = 0;
+        for (unsigned op = 0; op < 20000; ++op) {
+            const CoreId core =
+                static_cast<CoreId>(rng.below(wc.cores));
+            const unsigned slot = core % 4;
+            const Addr line = rng.below(kLines);
+            const double kind = rng.uniform();
+            HierarchyOutcome a;
+            HierarchyOutcome b;
+            if (kind < 0.1) {
+                a = h.prefetchIntoL1(core, slot, line);
+                b = probe_all.prefetchIntoL1(core, slot, line);
+            } else if (kind < 0.2) {
+                a = h.prefetchIntoL2(core, slot, line);
+                b = probe_all.prefetchIntoL2(core, slot, line);
+            } else {
+                const bool write = kind < 0.5;
+                a = h.access(core, slot, line * kLineBytes, write);
+                b = probe_all.access(core, slot, line * kLineBytes,
+                                     write);
+            }
+            ASSERT_EQ(a.servedBy, b.servedBy) << "op " << op;
+            ASSERT_EQ(a.dramReads, b.dramReads) << "op " << op;
+            ASSERT_EQ(a.dramWrites, b.dramWrites) << "op " << op;
+            ASSERT_EQ(a.llcAccess, b.llcAccess) << "op " << op;
+            dram_writes += a.dramWrites;
+
+            if (op % 4096 == 4095) {
+                for (Addr l = 0; l < kLines; ++l) {
+                    if (h.llc().probe(l))
+                        continue;
+                    for (unsigned c = 0; c < wc.cores; ++c) {
+                        ASSERT_FALSE(h.l1(c).probe(l) || h.l2(c).probe(l))
+                            << "line " << l << " held by core " << c
+                            << " but missing from the LLC";
+                    }
+                }
+            }
+        }
+        // Dirty LLC victims reached DRAM: the stream really evicted.
+        EXPECT_GT(dram_writes, 100u);
+    }
+
+    // A standalone inclusive cache has no core count to go by.
+    CacheConfig standalone = tinyHierarchy().llc;
+    EXPECT_EQ(SetAssocCache(standalone).innerPresenceBits(), 64u);
+    standalone.inclusive = false;
+    EXPECT_FALSE(SetAssocCache(standalone).tracksInnerPresence());
+}
+
 TEST(Hierarchy, DirtyDataSurvivesWritebackChain)
 {
     CacheHierarchy h(tinyHierarchy(), 1);

@@ -312,6 +312,46 @@ TEST(Report, DisjointSpecsProduceNoPairs)
         << "metrics with zero pairs must not be compared";
 }
 
+TEST(Report, MicroPointOnlyInBaselineDoesNotFailGate)
+{
+    // A micro benchmark dropped between nightly runs leaves a point
+    // with no partner; the gate compares only paired specs, so the
+    // lone baseline point can neither FAIL nor skew the shared one.
+    const auto micro = [](const std::string &run, double ts_ms,
+                          const std::string &spec, std::uint64_t hash,
+                          double per_s) {
+        obs::RunRecord rec;
+        rec.kind = "point";
+        rec.bench = "micro_simulator";
+        rec.run = run;
+        rec.spec = spec;
+        rec.specHash = hash;
+        rec.tsMs = ts_ms;
+        rec.metrics = {{"accesses_per_s", per_s}};
+        return rec;
+    };
+    report::RunGroup base;
+    base.run = "micro_simulator-1";
+    base.bench = "micro_simulator";
+    base.startTsMs = 1000.0;
+    base.points = {
+        micro(base.run, 1000.0, "BM_QuantumReplayFast", 0xfa57, 5e6),
+        micro(base.run, 1001.0, "BM_QuantumReplayLegacy", 0x1e6, 9e9)};
+    report::RunGroup cur;
+    cur.run = "micro_simulator-2";
+    cur.bench = "micro_simulator";
+    cur.startTsMs = 2000.0;
+    cur.points = {
+        micro(cur.run, 2000.0, "BM_QuantumReplayFast", 0xfa57, 5e6)};
+
+    const auto cmp = report::compareRuns(base, cur);
+    EXPECT_EQ(cmp.verdict, report::Verdict::Pass);
+    ASSERT_EQ(cmp.metrics.size(), 1u);
+    EXPECT_EQ(cmp.metrics[0].name, "accesses_per_s");
+    EXPECT_EQ(cmp.metrics[0].pairs, 1u);
+    EXPECT_DOUBLE_EQ(cmp.metrics[0].baselineMean, 5e6);
+}
+
 TEST(Report, MarkdownContainsVerdictAndDeltas)
 {
     const auto base = syntheticRun("base", 1000.0, 8, 1.01, 3e9);
