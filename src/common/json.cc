@@ -125,15 +125,11 @@ class Parser
         return std::nullopt; // unterminated
     }
 
+    /** The object or array at pos_; value() bounds the nesting. */
     std::optional<Json>
-    value()
+    container()
     {
-        skipWs();
-        if (pos_ >= s_.size())
-            return std::nullopt;
-        const char c = s_[pos_];
-        if (c == '{') {
-            ++pos_;
+        if (s_[pos_++] == '{') {
             Json obj = Json::object();
             skipWs();
             if (consume('}'))
@@ -153,23 +149,37 @@ class Parser
                 return std::nullopt;
             }
         }
-        if (c == '[') {
-            ++pos_;
-            Json arr = Json::array();
-            skipWs();
+        Json arr = Json::array();
+        skipWs();
+        if (consume(']'))
+            return arr;
+        while (true) {
+            std::optional<Json> v = value();
+            if (!v)
+                return std::nullopt;
+            arr.arr.push_back(std::move(*v));
+            if (consume(','))
+                continue;
             if (consume(']'))
                 return arr;
-            while (true) {
-                std::optional<Json> v = value();
-                if (!v)
-                    return std::nullopt;
-                arr.arr.push_back(std::move(*v));
-                if (consume(','))
-                    continue;
-                if (consume(']'))
-                    return arr;
+            return std::nullopt;
+        }
+    }
+
+    std::optional<Json>
+    value()
+    {
+        skipWs();
+        if (pos_ >= s_.size())
+            return std::nullopt;
+        const char c = s_[pos_];
+        if (c == '{' || c == '[') {
+            if (depth_ == Json::kMaxDepth)
                 return std::nullopt;
-            }
+            ++depth_;
+            std::optional<Json> v = container();
+            --depth_;
+            return v;
         }
         if (c == '"') {
             std::optional<std::string> s = string();
@@ -198,6 +208,7 @@ class Parser
 
     const std::string &s_;
     std::size_t pos_ = 0;
+    unsigned depth_ = 0; //!< containers open around pos_
 };
 
 } // namespace

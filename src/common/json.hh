@@ -84,7 +84,18 @@ struct Json
     void write(std::ostream &os) const;
     std::string dump() const;
 
-    /** Parse a complete document; nullopt on any syntax error. */
+    /**
+     * Deepest array/object nesting parse() accepts. The parser
+     * recurses once per level, so a bound keeps hostile on-disk bytes
+     * (a megabyte of `[`) from overflowing the stack; the repository's
+     * own documents nest a handful of levels.
+     */
+    static constexpr unsigned kMaxDepth = 512;
+
+    /**
+     * Parse a complete document; nullopt on any syntax error or on
+     * nesting deeper than kMaxDepth.
+     */
     static std::optional<Json> parse(const std::string &text);
 };
 

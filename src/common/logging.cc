@@ -187,6 +187,12 @@ panicImpl(const char *file, int line, const std::string &msg)
 }
 
 void
+assertFailed(const char *file, int line, const char *cond)
+{
+    panicImpl(file, line, std::string("assertion failed: ") + cond);
+}
+
+void
 fatalImpl(const char *file, int line, const std::string &msg)
 {
     std::fprintf(stderr, "fatal: %s\n  at %s:%d\n", msg.c_str(), file, line);

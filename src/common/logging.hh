@@ -32,6 +32,8 @@ namespace capart
 /** @cond INTERNAL implementation hooks for the macros below. */
 [[noreturn]] void panicImpl(const char *file, int line, const std::string &msg);
 [[noreturn]] void fatalImpl(const char *file, int line, const std::string &msg);
+[[noreturn, gnu::cold]] void assertFailed(const char *file, int line,
+                                          const char *cond);
 void warnImpl(const std::string &msg);
 void informImpl(const std::string &msg);
 /** @endcond */
@@ -161,11 +163,14 @@ void logEvent(LogLevel lvl, const char *event,
 /**
  * Check an internal invariant; panics with the stringified condition on
  * failure. Always enabled (the simulator is cheap relative to debugging).
+ * The failure path is one call to a cold function, so a check in a hot
+ * inline function costs a compare and a branch, not an inline message
+ * stream that bloats the caller's frame and blocks inlining.
  */
 #define capart_assert(cond)                                                  \
     do {                                                                     \
-        if (!(cond))                                                         \
-            capart_panic("assertion failed: " #cond);                        \
+        if (!(cond)) [[unlikely]]                                            \
+            ::capart::assertFailed(__FILE__, __LINE__, #cond);               \
     } while (0)
 
 #endif // CAPART_COMMON_LOGGING_HH

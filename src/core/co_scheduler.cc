@@ -126,6 +126,12 @@ CoScheduler::runPolicy(Policy policy, bool bg_continuous)
         pair.controller = sloCtrl_.get();
     }
 
+    // The biased search already ran this exact co-run (same options,
+    // the winning masks, no controller or hook); only a monitored run
+    // must simulate again so the monitor sees its windows.
+    if (policy == Policy::Biased && bg_continuous && !pair.controller &&
+        !pair.prepare)
+        return pairRuns_.emplace(key, biased().winner).first->second;
     return pairRuns_.emplace(key, runPair(fg_, bg_, pair)).first->second;
 }
 

@@ -1,6 +1,8 @@
 #include "core/static_policies.hh"
 
 #include <limits>
+#include <utility>
+#include <vector>
 
 #include "common/logging.hh"
 
@@ -56,6 +58,7 @@ findBiasedPartition(const AppParams &fg, const AppParams &bg,
     capart_assert(total >= 2 * opts.minWays);
 
     Seconds best_time = std::numeric_limits<double>::infinity();
+    std::vector<PairResult> runs;
     for (unsigned fg_ways = opts.minWays; fg_ways <= total - opts.minWays;
          ++fg_ways) {
         PairOptions pair = opts.pair;
@@ -69,6 +72,7 @@ findBiasedPartition(const AppParams &fg, const AppParams &bg,
         pt.fgTime = r.fgTime;
         pt.bgThroughput = r.bgThroughput;
         result.sweep.push_back(pt);
+        runs.push_back(r);
         if (r.fgTime < best_time)
             best_time = r.fgTime;
     }
@@ -76,17 +80,21 @@ findBiasedPartition(const AppParams &fg, const AppParams &bg,
     // Among splits whose foreground time is within tolerance of the
     // best, pick the split with the highest background throughput.
     double best_bg = -1.0;
-    for (const BiasedSweepPoint &pt : result.sweep) {
+    std::size_t best = runs.size();
+    for (std::size_t i = 0; i < result.sweep.size(); ++i) {
+        const BiasedSweepPoint &pt = result.sweep[i];
         if (pt.fgTime <= best_time * (1.0 + opts.tolerance) &&
             pt.bgThroughput > best_bg) {
             best_bg = pt.bgThroughput;
-            result.fgWays = pt.fgWays;
-            result.fgTime = pt.fgTime;
-            result.bgThroughput = pt.bgThroughput;
+            best = i;
         }
     }
-    capart_assert(result.fgWays >= 1);
+    capart_assert(best < runs.size());
+    result.fgWays = result.sweep[best].fgWays;
+    result.fgTime = result.sweep[best].fgTime;
+    result.bgThroughput = result.sweep[best].bgThroughput;
     result.masks = splitWays(result.fgWays, total);
+    result.winner = std::move(runs[best]);
     return result;
 }
 

@@ -51,6 +51,12 @@ struct BiasedSearchResult
     double bgThroughput = 0.0;
     /** Every split evaluated (for tables and ablations). */
     std::vector<BiasedSweepPoint> sweep;
+    /**
+     * The search's co-run at the winning split: runPair(fg, bg) with
+     * the search's PairOptions and `masks`, so a caller about to run
+     * exactly that can reuse it instead.
+     */
+    PairResult winner;
 };
 
 /** Options controlling the biased search. */

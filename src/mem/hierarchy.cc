@@ -5,18 +5,42 @@
 namespace capart
 {
 
+namespace
+{
+
+/**
+ * Plane bytes of every cache in a @p num_cores hierarchy. Each cache
+ * is told the hierarchy's core count; only the inclusive LLC uses it.
+ */
+std::size_t
+hierarchyPlaneBytes(const HierarchyConfig &cfg, unsigned num_cores)
+{
+    return num_cores * (SetAssocCache::planeBytes(cfg.l1, num_cores) +
+                        SetAssocCache::planeBytes(cfg.l2, num_cores)) +
+           SetAssocCache::planeBytes(cfg.llc, num_cores);
+}
+
+} // namespace
+
 CacheHierarchy::CacheHierarchy(const HierarchyConfig &cfg,
                                unsigned num_cores, std::uint64_t seed)
-    : cfg_(cfg)
+    : cfg_(cfg), planes_(hierarchyPlaneBytes(cfg, num_cores))
 {
     capart_assert(num_cores >= 1);
+    std::byte *next = planes_.data();
+    const auto carve = [&next, num_cores](const CacheConfig &c,
+                                          std::uint64_t cache_seed) {
+        std::byte *at = next;
+        next += SetAssocCache::planeBytes(c, num_cores);
+        return std::make_unique<SetAssocCache>(c, cache_seed, num_cores,
+                                               at);
+    };
     for (unsigned c = 0; c < num_cores; ++c) {
-        l1_.push_back(std::make_unique<SetAssocCache>(cfg.l1, seed + c));
-        l2_.push_back(
-            std::make_unique<SetAssocCache>(cfg.l2, seed + 100 + c));
+        l1_.push_back(carve(cfg.l1, seed + c));
+        l2_.push_back(carve(cfg.l2, seed + 100 + c));
     }
     // The LLC's core-valid directory is sized to this core count.
-    llc_ = std::make_unique<SetAssocCache>(cfg.llc, seed + 1000, num_cores);
+    llc_ = carve(cfg.llc, seed + 1000);
 }
 
 void
@@ -33,7 +57,7 @@ CacheHierarchy::writebackToLlc(CoreId core, unsigned slot, Addr line,
         llc_->noteInnerPresenceAt(llc_->setIndex(line), way, core);
         return;
     }
-    const CacheAccessResult res = llc_->fill(line, true, slot);
+    const CacheAccessResult res = llc_->fillAbsent(line, true, slot);
     llc_->noteInnerPresenceAt(res.set, res.way, core);
     if (res.evicted)
         handleLlcEviction(res, out);
@@ -47,7 +71,7 @@ CacheHierarchy::writebackToL2(CoreId core, unsigned slot, Addr line,
     // writeback (victim cache behaviour), cascading any dirty L2 victim.
     if (l2_[core]->markDirty(line))
         return;
-    const CacheAccessResult res = l2_[core]->fill(line, true, 0);
+    const CacheAccessResult res = l2_[core]->fillAbsent(line, true, 0);
     if (res.evicted && res.victimDirty)
         writebackToLlc(core, slot, res.victimLine, out);
 }
@@ -91,17 +115,18 @@ CacheHierarchy::access(CoreId core, unsigned slot, Addr byte_addr,
         out.servedBy = ServiceLevel::L1;
         return out;
     }
+    const std::uint64_t llc_set = llc_->setIndex(line);
     if (r1.evicted && r1.victimDirty) {
         // The writeback below may cascade into an LLC fill whose victim
         // is `line` itself; the directory must already know this core
         // holds the fresh L1 copy so back-invalidation reaches it.
-        llc_->noteInnerPresence(line, core);
+        llc_->noteInnerPresence(llc_set, line, core);
         writebackToL2(core, slot, r1.victimLine, out);
     }
 
     const CacheAccessResult r2 = l2_[core]->access(line, false, 0);
     if (r2.evicted && r2.victimDirty) {
-        llc_->noteInnerPresence(line, core); // same race as above
+        llc_->noteInnerPresence(llc_set, line, core); // same race as above
         writebackToLlc(core, slot, r2.victimLine, out);
     }
     if (r2.hit) {
@@ -110,7 +135,8 @@ CacheHierarchy::access(CoreId core, unsigned slot, Addr byte_addr,
     }
 
     out.llcAccess = true;
-    const CacheAccessResult r3 = llc_->access(line, false, slot);
+    const CacheAccessResult r3 =
+        llc_->accessInSet(llc_set, line, false, slot);
     llc_->noteInnerPresenceAt(r3.set, r3.way, core);
     if (r3.evicted)
         handleLlcEviction(r3, out);
@@ -137,7 +163,7 @@ CacheHierarchy::ensureInLlc(CoreId core, unsigned slot, Addr line,
     }
     out.llcAccess = true;
     ++out.dramReads;
-    const CacheAccessResult res = llc_->fill(line, false, slot);
+    const CacheAccessResult res = llc_->fillAbsent(line, false, slot);
     llc_->noteInnerPresenceAt(res.set, res.way, core);
     if (res.evicted)
         handleLlcEviction(res, out);
@@ -154,7 +180,9 @@ CacheHierarchy::prefetchIntoL1(CoreId core, unsigned slot, Addr line)
     if (!l2_[core]->probe(line))
         ensureInLlc(core, slot, line, out);
 
-    const CacheAccessResult r1 = l1_[core]->fill(line, false, 0);
+    // The probe above proved the line absent, and an LLC eviction can
+    // only remove lines from this L1.
+    const CacheAccessResult r1 = l1_[core]->fillAbsent(line, false, 0);
     if (r1.evicted && r1.victimDirty)
         writebackToL2(core, slot, r1.victimLine, out);
     return out;
@@ -170,7 +198,8 @@ CacheHierarchy::prefetchIntoL2(CoreId core, unsigned slot, Addr line)
 
     ensureInLlc(core, slot, line, out);
 
-    const CacheAccessResult r2 = l2_[core]->fill(line, false, 0);
+    // Absent, as in prefetchIntoL1.
+    const CacheAccessResult r2 = l2_[core]->fillAbsent(line, false, 0);
     if (r2.evicted && r2.victimDirty)
         writebackToLlc(core, slot, r2.victimLine, out);
     return out;

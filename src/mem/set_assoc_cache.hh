@@ -7,26 +7,32 @@
  * only victim selection is restricted to the accessor's mask; and
  * changing a mask never flushes resident data.
  *
- * State lives in flat contiguous planes carved from one block per
- * cache (DESIGN.md "cache engine layout"): per-way tags and
+ * State lives in flat contiguous planes carved from one zeroed block
+ * (DESIGN.md "cache engine layout") — the cache's own, or a slice of
+ * its hierarchy's shared block: per-way tags and
  * inserter/owner ids, one packed @ref SetMeta record per set (valid,
  * dirty and replacement words), and, for inclusive caches, a
  * core-valid directory sized to the core count. Replacement
  * dispatches with a switch on a member enum, so the access path
- * inlines into callers with no virtual calls; tree-PLRU victims
- * descend precomputed per-mask traversal tables (mem/plru_tables.hh)
- * branch-free. tests/test_mem_differential.cc replays random streams
+ * inlines into callers with no virtual calls. The set kernels avoid
+ * data-dependent branches: a lookup builds a tag-match mask over all
+ * ways, the LRU victim is the minimum of packed (age, way) keys,
+ * dirty bits are set by shifts, and tree-PLRU victims descend
+ * precomputed per-mask traversal tables (mem/plru_tables.hh).
+ * tests/test_mem_differential.cc replays random streams
  * against a naive reference model of every policy.
  */
 
 #ifndef CAPART_MEM_SET_ASSOC_CACHE_HH
 #define CAPART_MEM_SET_ASSOC_CACHE_HH
 
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <optional>
 #include <vector>
 
 #include "common/logging.hh"
@@ -146,22 +152,50 @@ class SetAssocCache
      *                    64 cores, and none above 64 (back-invalidation
      *                    then probes every core). Ignored unless
      *                    cfg.inclusive.
+     * @param planes      zeroed storage of planeBytes(cfg, innerCores)
+     *                    bytes, 64-byte aligned, that outlives the
+     *                    cache; nullptr maps a block the cache owns.
      */
     explicit SetAssocCache(const CacheConfig &cfg, std::uint64_t seed = 1,
-                           unsigned innerCores = 64);
+                           unsigned innerCores = 64,
+                           std::byte *planes = nullptr);
+
+    /**
+     * Plane storage a cache of @p cfg tracking @p innerCores needs, a
+     * multiple of 64 bytes so caches carved back to back from one
+     * block stay cache-line aligned.
+     */
+    static std::size_t planeBytes(const CacheConfig &cfg,
+                                  unsigned innerCores = 64);
 
     /**
      * Demand access (read or write) by partition @p slot.
      * Misses allocate; the victim, if any, is reported for inclusive
      * back-invalidation and dirty writeback by the caller.
      */
-    CacheAccessResult access(Addr line, bool write, unsigned slot = 0);
+    CacheAccessResult
+    access(Addr line, bool write, unsigned slot = 0)
+    {
+        return accessInSet(setIndex(line), line, write, slot);
+    }
+
+    /** As access, given @p set = setIndex(line) the caller already has. */
+    CacheAccessResult accessInSet(std::uint64_t set, Addr line, bool write,
+                                  unsigned slot);
 
     /**
      * Install @p line without demand-counting it (prefetch fill or
      * writeback allocation). Replacement is still mask-restricted.
+     * The caller must just have proved the line absent (a probe, touch
+     * or markDirty that missed, with no insert into this cache since),
+     * so the fill does no second tag lookup.
      */
-    CacheAccessResult fill(Addr line, bool dirty, unsigned slot = 0);
+    CacheAccessResult
+    fillAbsent(Addr line, bool dirty, unsigned slot = 0)
+    {
+        capart_assert(slot < masks_.size());
+        return insert(setIndex(line), line, dirty, slot);
+    }
 
     /** True if @p line is resident (no state update). */
     bool probe(Addr line) const;
@@ -187,13 +221,14 @@ class SetAssocCache
      * or presence is untracked). The mask is sticky until the entry is
      * evicted or invalidated, so it stays a superset of true holders —
      * exactly the core-valid bits an inclusive LLC keeps in hardware.
+     * @p set is setIndex(line), which the caller computes once for
+     * every lookup of the line.
      */
     void
-    noteInnerPresence(Addr line, unsigned core)
+    noteInnerPresence(std::uint64_t set, Addr line, unsigned core)
     {
         if (innerBytes_ == 0)
             return;
-        const std::uint64_t set = setIndex(line);
         noteInnerPresenceAt(set, findWay(set, line), core);
     }
 
@@ -281,20 +316,21 @@ class SetAssocCache
     }
 
   private:
-    /** Way of @p line within @p set, or -1. */
+    /**
+     * Way of @p line within @p set, or -1. Compares every way's tag
+     * into a match mask instead of exiting the loop at a data-dependent
+     * way, so the lookup costs no mispredicted branch.
+     */
     int
     findWay(std::uint64_t set, Addr line) const
     {
         const std::uint64_t tag = line + 1;
-        const std::uint64_t base = set * ways_;
-        std::uint32_t v = meta_[set].valid;
-        while (v) {
-            const unsigned w = static_cast<unsigned>(std::countr_zero(v));
-            if (tags_[base + w] == tag)
-                return static_cast<int>(w);
-            v &= v - 1;
-        }
-        return -1;
+        const std::uint64_t *tags = tags_ + set * ways_;
+        std::uint32_t match = 0;
+        for (unsigned w = 0; w < ways_; ++w)
+            match |= static_cast<std::uint32_t>(tags[w] == tag) << w;
+        match &= meta_[set].valid;
+        return match ? std::countr_zero(match) : -1;
     }
 
     /** Directory entry @p idx (requires a directory). */
@@ -399,23 +435,19 @@ class SetAssocCache
 
         switch (policy_) {
           case ReplPolicy::LRU: {
-            const std::uint64_t base = set * ways_;
-            unsigned best = 0;
-            std::uint32_t best_age =
-                std::numeric_limits<std::uint32_t>::max();
-            bool found = false;
+            // Minimum of packed keys (age << 6) | way: the oldest
+            // allowed way, ties to the lowest way. Disallowed ways get
+            // bit 63 so they never win; the mask is never empty.
+            const std::uint32_t *age = age_ + set * ways_;
+            std::uint64_t best = std::numeric_limits<std::uint64_t>::max();
             for (unsigned w = 0; w < ways_; ++w) {
-                if (!((allowed >> w) & 1u))
-                    continue;
-                const std::uint32_t a = age_[base + w];
-                if (!found || a < best_age) {
-                    best = w;
-                    best_age = a;
-                    found = true;
-                }
+                const std::uint64_t barred =
+                    static_cast<std::uint64_t>(((allowed >> w) & 1u) ^ 1u)
+                    << 63;
+                best = std::min(best, barred |
+                                          (std::uint64_t{age[w]} << 6) | w);
             }
-            capart_assert(found);
-            return best;
+            return static_cast<unsigned>(best & 63u);
           }
           case ReplPolicy::BitPLRU: {
             const std::uint32_t clear = allowed & ~m.repl;
@@ -468,8 +500,7 @@ class SetAssocCache
     hitWay(std::uint64_t set, unsigned way, bool dirty)
     {
         replTouch(set, way);
-        if (dirty)
-            meta_[set].dirty |= (1u << way);
+        meta_[set].dirty |= static_cast<std::uint32_t>(dirty) << way;
     }
 
     CacheAccessResult
@@ -499,10 +530,8 @@ class SetAssocCache
         tags_[idx] = line + 1;
         owner_[idx] = static_cast<std::uint8_t>(slot);
         m.valid |= bit;
-        if (dirty)
-            m.dirty |= bit;
-        else
-            m.dirty &= ~bit;
+        m.dirty = (m.dirty & ~bit) |
+                  (static_cast<std::uint32_t>(dirty) << victim);
         replTouch(set, victim);
         return res;
     }
@@ -516,8 +545,8 @@ class SetAssocCache
     unsigned innerBytes_; //!< directory entry width; 0 = none
 
     // ---- flat planes (cache engine layout; see DESIGN.md) -----------
-    /** Backing store of every plane below. */
-    ZeroedBlock planes_;
+    /** Backing store of every plane below, unless the caller gave one. */
+    std::optional<ZeroedBlock> ownPlanes_;
     /** tag[set*ways+way] = lineAddr+1; 0 means invalid. */
     std::uint64_t *tags_;
     /** One valid/dirty/replacement record per set. */
@@ -543,12 +572,12 @@ class SetAssocCache
 };
 
 inline CacheAccessResult
-SetAssocCache::access(Addr line, bool write, unsigned slot)
+SetAssocCache::accessInSet(std::uint64_t set, Addr line, bool write,
+                           unsigned slot)
 {
     capart_assert(slot < stats_.size());
     ++stats_[slot].accesses;
 
-    const std::uint64_t set = setIndex(line);
     const int way = findWay(set, line);
     if (way >= 0) {
         ++stats_[slot].hits;
@@ -556,19 +585,6 @@ SetAssocCache::access(Addr line, bool write, unsigned slot)
         return CacheAccessResult{.hit = true, .set = set, .way = way};
     }
     return insert(set, line, write, slot);
-}
-
-inline CacheAccessResult
-SetAssocCache::fill(Addr line, bool dirty, unsigned slot)
-{
-    capart_assert(slot < masks_.size());
-    const std::uint64_t set = setIndex(line);
-    const int way = findWay(set, line);
-    if (way >= 0) {
-        hitWay(set, static_cast<unsigned>(way), dirty);
-        return CacheAccessResult{.hit = true, .set = set, .way = way};
-    }
-    return insert(set, line, dirty, slot);
 }
 
 inline int

@@ -133,6 +133,42 @@ TEST(Json, ParseRejectsMalformedInput)
     EXPECT_FALSE(Json::parse("nul").has_value());
 }
 
+/** @p depth arrays nested in one another: "[[...]]". */
+std::string
+nestedArrays(std::size_t depth)
+{
+    return std::string(depth, '[') + std::string(depth, ']');
+}
+
+TEST(Json, MegabyteOfOpenBracketsIsRejectedNotACrash)
+{
+    EXPECT_FALSE(Json::parse(std::string(1u << 20, '[')).has_value());
+    EXPECT_FALSE(Json::parse(nestedArrays(1u << 20)).has_value());
+}
+
+TEST(Json, MegabyteOfNestedObjectsIsRejectedNotACrash)
+{
+    std::string text;
+    while (text.size() < (1u << 20))
+        text += "{\"a\":";
+    EXPECT_FALSE(Json::parse(text).has_value());
+}
+
+TEST(Json, NestingAtTheLimitStillParses)
+{
+    const auto at_limit = Json::parse(nestedArrays(Json::kMaxDepth));
+    ASSERT_TRUE(at_limit.has_value());
+    const Json *inner = &*at_limit;
+    for (unsigned d = 1; d < Json::kMaxDepth; ++d) {
+        ASSERT_EQ(inner->arr.size(), 1u);
+        inner = &inner->arr[0];
+    }
+    EXPECT_TRUE(inner->arr.empty());
+    EXPECT_EQ(at_limit->dump(), nestedArrays(Json::kMaxDepth));
+
+    EXPECT_FALSE(Json::parse(nestedArrays(Json::kMaxDepth + 1)).has_value());
+}
+
 TEST(Json, AbsentKeysChainToNullWithFallbacks)
 {
     const auto doc = Json::parse("{\"a\":{\"b\":3}}");

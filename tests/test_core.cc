@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "core/co_scheduler.hh"
 #include "core/dynamic_partitioner.hh"
@@ -784,6 +785,77 @@ TEST(CoScheduler, SloMonitoringIsPureObservation)
     ASSERT_NE(mon, nullptr);
     EXPECT_GT(mon->windows(), 0u);
     EXPECT_GT(mon->baseline(), 0.0);
+}
+
+/** Every field of two co-run results, compared bit for bit. */
+void
+expectSamePairResult(const PairResult &a, const PairResult &b)
+{
+    for (const auto &[x, y] : {std::pair{&a.fg, &b.fg},
+                               std::pair{&a.bg, &b.bg}}) {
+        EXPECT_EQ(x->name, y->name);
+        EXPECT_EQ(x->completed, y->completed);
+        EXPECT_EQ(x->completionTime, y->completionTime);
+        EXPECT_EQ(x->iterations, y->iterations);
+        EXPECT_EQ(x->retired, y->retired);
+        EXPECT_EQ(x->cycles, y->cycles);
+        EXPECT_EQ(x->llcAccesses, y->llcAccesses);
+        EXPECT_EQ(x->llcMisses, y->llcMisses);
+        EXPECT_EQ(x->dramReads, y->dramReads);
+        EXPECT_EQ(x->dramWrites, y->dramWrites);
+        EXPECT_EQ(x->uncachedBytes, y->uncachedBytes);
+        EXPECT_EQ(x->throughputIps, y->throughputIps);
+    }
+    EXPECT_EQ(a.fgTime, b.fgTime);
+    EXPECT_EQ(a.bgThroughput, b.bgThroughput);
+    EXPECT_EQ(a.socketEnergy, b.socketEnergy);
+    EXPECT_EQ(a.wallEnergy, b.wallEnergy);
+    EXPECT_EQ(a.timedOut, b.timedOut);
+}
+
+TEST(CoScheduler, BiasedContinuousRunEqualsAFreshRunPair)
+{
+    CoScheduleOptions opts;
+    opts.scale = kTestScale;
+    CoScheduler cs(Catalog::byName("471.omnetpp"),
+                   Catalog::byName("streamcluster"), opts);
+    const PairResult &reused = cs.runPolicy(Policy::Biased, true);
+
+    PairOptions pair;
+    pair.fgThreads = opts.threadsEach;
+    pair.bgThreads = opts.threadsEach;
+    pair.bgContinuous = true;
+    pair.scale = opts.scale;
+    pair.system = opts.system;
+    const SplitMasks m =
+        splitWays(cs.biased().fgWays, opts.system.hierarchy.llc.ways);
+    pair.fgMask = m.fg;
+    pair.bgMask = m.bg;
+    const PairResult fresh =
+        runPair(Catalog::byName("471.omnetpp"),
+                Catalog::byName("streamcluster"), pair);
+    expectSamePairResult(reused, fresh);
+}
+
+TEST(CoScheduler, MonitoredBiasedRunStillSimulates)
+{
+    CoScheduleOptions plain;
+    plain.scale = kTestScale;
+    CoScheduler cs_plain(Catalog::byName("ferret"),
+                         Catalog::byName("dedup"), plain);
+    const PairResult &a = cs_plain.runPolicy(Policy::Biased, true);
+
+    CoScheduleOptions monitored = plain;
+    monitored.monitorSlo = true;
+    CoScheduler cs_mon(Catalog::byName("ferret"),
+                       Catalog::byName("dedup"), monitored);
+    const PairResult &b = cs_mon.runPolicy(Policy::Biased, true);
+
+    const SloMonitor *mon = cs_mon.lastSloMonitor();
+    ASSERT_NE(mon, nullptr);
+    EXPECT_GT(mon->windows(), 0u)
+        << "the monitored Biased run must simulate, not reuse the search";
+    expectSamePairResult(a, b);
 }
 
 TEST(CoScheduler, SloMonitorComposesWithDynamicController)

@@ -214,7 +214,7 @@ TEST(SetAssocCache, PartitionStatsPerSlot)
 TEST(SetAssocCache, FillDoesNotCountDemandStats)
 {
     SetAssocCache c(smallCache());
-    c.fill(lineInSet(0, 0), false, 0);
+    c.fillAbsent(lineInSet(0, 0), false, 0);
     EXPECT_EQ(c.totalStats().accesses, 0u);
     EXPECT_TRUE(c.probe(lineInSet(0, 0)));
 }

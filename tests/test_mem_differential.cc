@@ -23,11 +23,13 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/rng.hh"
 #include "common/types.hh"
 #include "common/units.hh"
+#include "mem/hierarchy.hh"
 #include "mem/set_assoc_cache.hh"
 #include "mem/way_mask.hh"
 
@@ -128,6 +130,18 @@ class RefCache
     wayOf(Addr line) const
     {
         return findWay(hw_->setIndex(line), line);
+    }
+
+    /** Refresh recency of a resident line; false if absent. */
+    bool
+    touchLine(Addr line)
+    {
+        const std::uint64_t set = hw_->setIndex(line);
+        const int way = findWay(set, line);
+        if (way < 0)
+            return false;
+        touch(set, static_cast<unsigned>(way));
+        return true;
     }
 
     std::uint64_t
@@ -420,7 +434,12 @@ runDifferential(ReplPolicy repl, IndexFn index, std::uint64_t seed,
         CacheAccessResult h;
         CacheAccessResult r;
         if (rng.chance(0.1)) { // prefetch-style fill
-            h = hw.fill(line, write, slot);
+            // A present line is refreshed (and dirtied) in place, an
+            // absent one installed without a second lookup.
+            const int way =
+                write ? hw.markDirtyWay(line) : hw.touchLineWay(line);
+            h = way >= 0 ? CacheAccessResult{.hit = true}
+                         : hw.fillAbsent(line, write, slot);
             r = ref.fill(line, write, slot);
         } else {
             h = hw.access(line, write, slot);
@@ -621,6 +640,246 @@ TEST(MemDifferential, OccupancyBoundedByMaskPopcount)
             ASSERT_LE(hw_count[set * 2 + 0], fg.count()) << "set " << set;
             ASSERT_LE(hw_count[set * 2 + 1], bg.count()) << "set " << set;
         }
+    }
+}
+
+/**
+ * LRU victims under a fresh random partial mask before every insert,
+ * up to 32 ways: the packed-key minimum must pick the reference's
+ * choice, the oldest allowed way. (Valid ways of a set carry distinct
+ * ages, so the lowest-way tie-break both share cannot be reached here.)
+ * Single-way and top-way masks are forced in regularly.
+ */
+TEST(MemDifferential, LruVictimUnderPartialMasksMatchesReference)
+{
+    for (const unsigned ways : {2u, 8u, 12u, 20u, 32u}) {
+        SCOPED_TRACE(ways);
+        constexpr unsigned kSets = 4;
+        const CacheConfig cfg =
+            diffCache(ReplPolicy::LRU, IndexFn::Modulo, ways, kSets, 1);
+        SetAssocCache hw(cfg, ways);
+        RefCache ref(hw, ReplPolicy::LRU, 1, ways);
+        Rng rng(ways);
+        const std::uint64_t all = (std::uint64_t{1} << ways) - 1;
+        for (unsigned op = 0; op < 20000; ++op) {
+            std::uint32_t bits =
+                static_cast<std::uint32_t>(rng.below(all) + 1);
+            if (op % 7 == 0)
+                bits = 1u << rng.below(ways);
+            else if (op % 11 == 0)
+                bits = 1u << (ways - 1);
+            hw.setPartitionMask(0, WayMask(bits));
+            ref.setMask(0, WayMask(bits));
+
+            const Addr line = rng.below(3ull * kSets * ways);
+            const bool write = rng.chance(0.3);
+            const CacheAccessResult h = hw.access(line, write, 0);
+            const CacheAccessResult r = ref.access(line, write, 0);
+            ASSERT_EQ(h.hit, r.hit) << "op " << op;
+            ASSERT_EQ(h.evicted, r.evicted) << "op " << op;
+            if (h.evicted) {
+                ASSERT_EQ(h.victimLine, r.victimLine) << "op " << op;
+                ASSERT_EQ(h.victimDirty, r.victimDirty) << "op " << op;
+            }
+            const int way = hw.wayOf(line);
+            ASSERT_EQ(way, ref.wayOf(line)) << "op " << op;
+            if (!h.hit) {
+                ASSERT_TRUE((bits >> way) & 1u) << "op " << op;
+            }
+        }
+        expectContentsEqual(hw, ref);
+    }
+}
+
+/**
+ * The reference hierarchy: CacheHierarchy's access and prefetch paths
+ * written the obvious way over RefCache levels. Every fill looks the
+ * line up again, and an LLC eviction probes every core instead of
+ * reading a presence directory.
+ */
+class RefHierarchy
+{
+  public:
+    RefHierarchy(CacheHierarchy &hw, unsigned cores)
+        : llc_(hw.llc(), hw.config().llc.repl,
+               hw.config().llc.partitionSlots, 0)
+    {
+        for (unsigned c = 0; c < cores; ++c) {
+            l1_.push_back(std::make_unique<RefCache>(
+                hw.l1(c), hw.config().l1.repl, 1, 0));
+            l2_.push_back(std::make_unique<RefCache>(
+                hw.l2(c), hw.config().l2.repl, 1, 0));
+        }
+    }
+
+    void setLlcMask(unsigned slot, WayMask m) { llc_.setMask(slot, m); }
+
+    HierarchyOutcome
+    access(CoreId core, unsigned slot, Addr line, bool write)
+    {
+        HierarchyOutcome out;
+        const CacheAccessResult r1 = l1_[core]->access(line, write, 0);
+        if (r1.hit)
+            return out;
+        if (r1.evicted && r1.victimDirty)
+            writebackToL2(core, slot, r1.victimLine, out);
+        const CacheAccessResult r2 = l2_[core]->access(line, false, 0);
+        if (r2.evicted && r2.victimDirty)
+            writebackToLlc(slot, r2.victimLine, out);
+        if (r2.hit) {
+            out.servedBy = ServiceLevel::L2;
+            return out;
+        }
+        out.llcAccess = true;
+        const CacheAccessResult r3 = llc_.access(line, false, slot);
+        if (r3.evicted)
+            evictFromLlc(r3, out);
+        out.servedBy = r3.hit ? ServiceLevel::LLC : ServiceLevel::Memory;
+        out.dramReads += r3.hit ? 0 : 1;
+        return out;
+    }
+
+    HierarchyOutcome
+    prefetchIntoL1(CoreId core, unsigned slot, Addr line)
+    {
+        HierarchyOutcome out;
+        if (l1_[core]->wayOf(line) >= 0)
+            return out;
+        if (l2_[core]->wayOf(line) < 0)
+            ensureInLlc(slot, line, out);
+        const CacheAccessResult r1 = l1_[core]->fill(line, false, 0);
+        if (r1.evicted && r1.victimDirty)
+            writebackToL2(core, slot, r1.victimLine, out);
+        return out;
+    }
+
+    HierarchyOutcome
+    prefetchIntoL2(CoreId core, unsigned slot, Addr line)
+    {
+        HierarchyOutcome out;
+        if (l2_[core]->wayOf(line) >= 0 || l1_[core]->wayOf(line) >= 0)
+            return out;
+        ensureInLlc(slot, line, out);
+        const CacheAccessResult r2 = l2_[core]->fill(line, false, 0);
+        if (r2.evicted && r2.victimDirty)
+            writebackToLlc(slot, r2.victimLine, out);
+        return out;
+    }
+
+    const RefCache &l1(CoreId c) const { return *l1_[c]; }
+    const RefCache &l2(CoreId c) const { return *l2_[c]; }
+    const RefCache &llc() const { return llc_; }
+
+  private:
+    void
+    writebackToL2(CoreId core, unsigned slot, Addr line,
+                  HierarchyOutcome &out)
+    {
+        const CacheAccessResult r = l2_[core]->fill(line, true, 0);
+        if (r.evicted && r.victimDirty)
+            writebackToLlc(slot, r.victimLine, out);
+    }
+
+    void
+    writebackToLlc(unsigned slot, Addr line, HierarchyOutcome &out)
+    {
+        const CacheAccessResult r = llc_.fill(line, true, slot);
+        if (r.evicted)
+            evictFromLlc(r, out);
+    }
+
+    void
+    ensureInLlc(unsigned slot, Addr line, HierarchyOutcome &out)
+    {
+        if (llc_.touchLine(line))
+            return;
+        out.llcAccess = true;
+        ++out.dramReads;
+        const CacheAccessResult r = llc_.fill(line, false, slot);
+        if (r.evicted)
+            evictFromLlc(r, out);
+    }
+
+    void
+    evictFromLlc(const CacheAccessResult &r, HierarchyOutcome &out)
+    {
+        bool dirty = r.victimDirty;
+        for (std::size_t c = 0; c < l1_.size(); ++c) {
+            dirty = l1_[c]->invalidate(r.victimLine).wasDirty || dirty;
+            dirty = l2_[c]->invalidate(r.victimLine).wasDirty || dirty;
+        }
+        out.dramWrites += dirty ? 1 : 0;
+    }
+
+    std::vector<std::unique_ptr<RefCache>> l1_;
+    std::vector<std::unique_ptr<RefCache>> l2_;
+    RefCache llc_;
+};
+
+/**
+ * Demand accesses mixed with L1 and L2 prefetches (the single-lookup
+ * fill paths) and live LLC remasks, on a hierarchy small enough that
+ * LLC evictions back-invalidate inner lines all the time: every
+ * outcome and, periodically, every level's contents must match the
+ * reference hierarchy.
+ */
+TEST(MemDifferential, HierarchyPrefetchPathsAgreeWithReference)
+{
+    constexpr unsigned kCores = 3;
+    constexpr unsigned kSlots = 3;
+    for (const ReplPolicy llc_repl :
+         {ReplPolicy::BitPLRU, ReplPolicy::LRU, ReplPolicy::TreePLRU}) {
+        SCOPED_TRACE(static_cast<int>(llc_repl));
+        HierarchyConfig cfg = HierarchyConfig::sandyBridge();
+        cfg.l1.sizeBytes = 2 * kib(1);   // 4 sets x 8 ways
+        cfg.l2.sizeBytes = 8 * kib(1);   // 16 sets x 8 ways
+        cfg.llc.sizeBytes = 24 * kib(1); // 32 sets x 12 ways
+        cfg.llc.repl = llc_repl;
+        CacheHierarchy hw(cfg, kCores, 77);
+        RefHierarchy ref(hw, kCores);
+        Rng rng(static_cast<std::uint64_t>(llc_repl) + 31);
+        unsigned prefetches = 0;
+        for (unsigned op = 0; op < 60000; ++op) {
+            if (rng.chance(0.002)) {
+                const unsigned slot =
+                    static_cast<unsigned>(rng.below(kSlots));
+                const WayMask m(static_cast<std::uint32_t>(
+                    rng.below((1u << 12) - 1) + 1));
+                hw.setLlcPartition(slot, m);
+                ref.setLlcMask(slot, m);
+            }
+            const auto core = static_cast<CoreId>(rng.below(kCores));
+            const unsigned slot = core % kSlots;
+            const Addr line = rng.below(1024);
+            HierarchyOutcome h;
+            HierarchyOutcome r;
+            const std::uint64_t kind = rng.below(4);
+            if (kind == 0) {
+                h = hw.prefetchIntoL1(core, slot, line);
+                r = ref.prefetchIntoL1(core, slot, line);
+                ++prefetches;
+            } else if (kind == 1) {
+                h = hw.prefetchIntoL2(core, slot, line);
+                r = ref.prefetchIntoL2(core, slot, line);
+                ++prefetches;
+            } else {
+                const bool write = rng.chance(0.3);
+                h = hw.access(core, slot, line * kLineBytes, write);
+                r = ref.access(core, slot, line, write);
+            }
+            ASSERT_EQ(h.servedBy, r.servedBy) << "op " << op;
+            ASSERT_EQ(h.dramReads, r.dramReads) << "op " << op;
+            ASSERT_EQ(h.dramWrites, r.dramWrites) << "op " << op;
+            ASSERT_EQ(h.llcAccess, r.llcAccess) << "op " << op;
+            if (op % 2048 == 0 || op + 1 == 60000) {
+                for (unsigned c = 0; c < kCores; ++c) {
+                    expectContentsEqual(hw.l1(c), ref.l1(c));
+                    expectContentsEqual(hw.l2(c), ref.l2(c));
+                }
+                expectContentsEqual(hw.llc(), ref.llc());
+            }
+        }
+        EXPECT_GT(prefetches, 20000u);
     }
 }
 
