@@ -1,47 +1,39 @@
 #!/usr/bin/env bash
-# Compare the repository benchmark between two revisions with
-# alternating runs.
+# Compare the repository benchmark between a parent revision and HEAD
+# with alternating runs.
 #
-#   scripts/ab_perfbench.sh <parent-rev> [workload] [pairs] [change-rev]
+#   scripts/ab_perfbench.sh <parent-rev> [workload] [pairs]
 #
 #   workload     pairs | napp | sweep_sharded_obs (default: pairs)
-#   pairs        number of parent/change run pairs (default: 10)
-#   change-rev   the revision measured against the parent (default: HEAD)
+#   pairs        number of parent/HEAD run pairs (default: 10)
 #
-#   AB_SECONDS=S run length of each benchmark run (default: 35, the
-#                length BENCHMARK.json sets)
-#   AB_SEED=N    base seed of every run (default: 1)
-#   AB_KEEP=DIR  keep the checkouts, build trees and raw run output in
-#                DIR instead of a temporary directory removed at exit
-#
-# Each revision is exported with `git archive` into a directory of its
-# own and built there under its own CARGO_TARGET_DIR, so neither side
-# shares a build tree, a run directory or the caller's working copy; a
-# discarded warm-up run builds each side before timing starts. The
-# runs then alternate, and the side that goes first flips on every
-# pair. Every run must report `correct: true, failed: 0`, or the
-# script stops. At the end it prints, for each end-to-end metric,
-# each side's median and quartiles, how many pairs the change won
+# Each revision is exported with `git archive` into a temporary
+# directory of its own and built there under its own CARGO_TARGET_DIR,
+# so neither side shares a build tree, a run directory or the caller's
+# working copy (uncommitted changes are not measured). A discarded
+# zero-length warm-up run builds each side before timing starts. The
+# timed runs take perfbench/run.py's defaults for length and seed, so
+# they match the benchmark's own runs. The runs alternate, and the
+# side that goes first flips on every pair. The script stops at the
+# first run, warm-up included, that does not report
+# `correct: true, failed: 0`. At the end it prints, for each end-to-end
+# metric, each side's median and quartiles, how many pairs HEAD won
 # (ties count for neither side) and whether that supports a claimed
-# gain: the change wins at least nine pairs in ten and the medians
-# differ by more than the parent's interquartile range.
+# gain: HEAD wins at least nine pairs in ten and the medians differ by
+# more than the parent's interquartile range.
 #
 # The script only reads perfbench/ and BENCHMARK.json; it never edits
-# them.
+# them. Its checkouts and build trees are removed when it exits.
 set -euo pipefail
 
 usage() {
-    sed -n '5,9p' "$0" >&2
+    sed -n '5,8p' "$0" >&2
     exit 2
 }
 
-[ $# -ge 1 ] || usage
-parent_rev=$1
+[ $# -ge 1 ] && [ $# -le 3 ] || usage
 workload=${2:-pairs}
 pairs=${3:-10}
-change_rev=${4:-HEAD}
-seconds=${AB_SECONDS:-35}
-seed=${AB_SEED:-1}
 
 case "$workload" in
   pairs | napp | sweep_sharded_obs) ;;
@@ -50,41 +42,47 @@ esac
 [[ "$pairs" =~ ^[1-9][0-9]*$ ]] || usage
 
 root=$(git -C "$(dirname "$0")" rev-parse --show-toplevel)
-parent_sha=$(git -C "$root" rev-parse --verify "$parent_rev^{commit}")
-change_sha=$(git -C "$root" rev-parse --verify "$change_rev^{commit}")
+parent_sha=$(git -C "$root" rev-parse --verify "$1^{commit}")
+change_sha=$(git -C "$root" rev-parse --verify "HEAD^{commit}")
 
-if [ -n "${AB_KEEP:-}" ]; then
-    work=$AB_KEEP
-    mkdir -p "$work"
-else
-    work=$(mktemp -d "${TMPDIR:-/tmp}/ab_perfbench.XXXXXX")
-    trap 'rm -rf "$work"' EXIT
-fi
+work=$(mktemp -d "${TMPDIR:-/tmp}/ab_perfbench.XXXXXX")
+trap 'rm -rf "$work"' EXIT
 
-# checkout <side> <sha>: export the revision into $work/<side>/tree.
-checkout() {
-    rm -rf "$work/$1/tree"
-    mkdir -p "$work/$1/tree"
-    git -C "$root" archive "$2" | tar -x -C "$work/$1/tree"
-}
-
-# measure <side> <out-file> <seconds>: one benchmark run of <side>.
+# measure <side> <out-file> [run.py option...]: one benchmark run of
+# <side>; stops the script unless it reports correct: true, failed: 0.
 measure() {
-    (cd "$work/$1/tree" &&
-        CARGO_TARGET_DIR="$work/$1/target" python3 perfbench/run.py \
-            --workload "$workload" --seed "$seed" --seconds "$3" \
-            --trace 0) >"$2" 2>>"$work/$1/build.log"
+    local side=$1 out=$2
+    shift 2
+    if ! (cd "$work/$side/tree" &&
+        CARGO_TARGET_DIR="$work/$side/target" python3 perfbench/run.py \
+            --workload "$workload" "$@") >"$out" 2>>"$work/$side/log"; then
+        tail -n 20 "$work/$side/log" >&2
+        echo "$side: perfbench/run.py failed" >&2
+        exit 1
+    fi
+    python3 - "$side" "$out" <<'EOF'
+import json
+import sys
+
+side, out = sys.argv[1], sys.argv[2]
+lines = open(out).read().splitlines()
+doc = json.loads(lines[-1]) if lines else {}
+if doc.get("correct") is not True or doc.get("failed") != 0:
+    sys.exit("%s: correct=%s failed=%s"
+             % (side, doc.get("correct"), doc.get("failed")))
+EOF
 }
 
 echo "parent $parent_sha"
-echo "change $change_sha"
-echo "workload $workload, $pairs pairs of ${seconds} s runs, seed $seed"
+echo "change $change_sha (HEAD)"
+echo "workload $workload, $pairs pairs"
 for side in parent change; do
     sha=$parent_sha
     [ "$side" = change ] && sha=$change_sha
-    checkout "$side" "$sha"
-    echo "building $side (log: $work/$side/build.log)"
-    measure "$side" "$work/$side/warmup.out" 0
+    mkdir -p "$work/$side/tree"
+    git -C "$root" archive "$sha" | tar -x -C "$work/$side/tree"
+    echo "building $side"
+    measure "$side" "$work/$side/warmup.out" --seconds 0
 done
 
 results="$work/results.tsv"
@@ -94,7 +92,7 @@ for ((i = 1; i <= pairs; i++)); do
     [ $((i % 2)) -eq 0 ] && order="change parent"
     for side in $order; do
         out="$work/$side/run-$i.out"
-        measure "$side" "$out" "$seconds"
+        measure "$side" "$out"
         printf '%s\t%s\t%s\n' "$i" "$side" "$(tail -n 1 "$out")" >>"$results"
     done
     echo "pair $i/$pairs done ($order)"
@@ -111,11 +109,7 @@ better = {m["name"]: m["better"]
 
 runs = {}
 for pair, side, text in rows:
-    doc = json.loads(text)
-    if doc["correct"] is not True or doc["failed"] != 0:
-        sys.exit("pair %s %s: correct=%s failed=%s"
-                 % (pair, side, doc["correct"], doc["failed"]))
-    runs.setdefault(int(pair), {})[side] = doc["metrics"]
+    runs.setdefault(int(pair), {})[side] = json.loads(text)["metrics"]
 
 
 def quartiles(xs):

@@ -5,42 +5,18 @@
 namespace capart
 {
 
-namespace
-{
-
-/**
- * Plane bytes of every cache in a @p num_cores hierarchy. Each cache
- * is told the hierarchy's core count; only the inclusive LLC uses it.
- */
-std::size_t
-hierarchyPlaneBytes(const HierarchyConfig &cfg, unsigned num_cores)
-{
-    return num_cores * (SetAssocCache::planeBytes(cfg.l1, num_cores) +
-                        SetAssocCache::planeBytes(cfg.l2, num_cores)) +
-           SetAssocCache::planeBytes(cfg.llc, num_cores);
-}
-
-} // namespace
-
 CacheHierarchy::CacheHierarchy(const HierarchyConfig &cfg,
                                unsigned num_cores, std::uint64_t seed)
-    : cfg_(cfg), planes_(hierarchyPlaneBytes(cfg, num_cores))
+    : cfg_(cfg)
 {
     capart_assert(num_cores >= 1);
-    std::byte *next = planes_.data();
-    const auto carve = [&next, num_cores](const CacheConfig &c,
-                                          std::uint64_t cache_seed) {
-        std::byte *at = next;
-        next += SetAssocCache::planeBytes(c, num_cores);
-        return std::make_unique<SetAssocCache>(c, cache_seed, num_cores,
-                                               at);
-    };
     for (unsigned c = 0; c < num_cores; ++c) {
-        l1_.push_back(carve(cfg.l1, seed + c));
-        l2_.push_back(carve(cfg.l2, seed + 100 + c));
+        l1_.push_back(std::make_unique<SetAssocCache>(cfg.l1, seed + c));
+        l2_.push_back(
+            std::make_unique<SetAssocCache>(cfg.l2, seed + 100 + c));
     }
     // The LLC's core-valid directory is sized to this core count.
-    llc_ = carve(cfg.llc, seed + 1000);
+    llc_ = std::make_unique<SetAssocCache>(cfg.llc, seed + 1000, num_cores);
 }
 
 void

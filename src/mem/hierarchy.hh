@@ -97,12 +97,6 @@ class CacheHierarchy
                      HierarchyOutcome &out);
 
     HierarchyConfig cfg_;
-    /**
-     * One mapping holds every cache's planes, carved in construction
-     * order (per core L1 then L2, then the LLC); declared before the
-     * caches so it outlives them.
-     */
-    ZeroedBlock planes_;
     std::vector<std::unique_ptr<SetAssocCache>> l1_;
     std::vector<std::unique_ptr<SetAssocCache>> l2_;
     std::unique_ptr<SetAssocCache> llc_;

@@ -69,17 +69,8 @@ checkedSets(const CacheConfig &cfg)
 
 } // namespace
 
-std::size_t
-SetAssocCache::planeBytes(const CacheConfig &cfg, unsigned innerCores)
-{
-    const PlaneLayout at(checkedSets(cfg), cfg.ways,
-                         cfg.repl == ReplPolicy::LRU,
-                         cfg.inclusive ? innerPresenceBytes(innerCores) : 0);
-    return (at.bytes + 63) & ~std::uint64_t{63};
-}
-
 SetAssocCache::SetAssocCache(const CacheConfig &cfg, std::uint64_t seed,
-                             unsigned innerCores, std::byte *planes)
+                             unsigned innerCores)
     : cfg_(cfg),
       sets_(checkedSets(cfg)),
       ways_(cfg.ways),
@@ -89,6 +80,9 @@ SetAssocCache::SetAssocCache(const CacheConfig &cfg, std::uint64_t seed,
       // core, so back-invalidation probes only cores that may actually
       // hold the victim.
       innerBytes_(cfg.inclusive ? innerPresenceBytes(innerCores) : 0),
+      planes_(PlaneLayout(sets_, ways_, policy_ == ReplPolicy::LRU,
+                          innerBytes_)
+                  .bytes),
       fullMask_((cfg.ways >= 32) ? ~0u : ((1u << cfg.ways) - 1u)),
       rng_(seed)
 {
@@ -97,15 +91,14 @@ SetAssocCache::SetAssocCache(const CacheConfig &cfg, std::uint64_t seed,
     masks_.assign(slots, WayMask::all(ways_));
     stats_.assign(slots, PartitionStats{});
 
-    if (planes == nullptr)
-        planes = ownPlanes_.emplace(planeBytes(cfg, innerCores)).data();
     const PlaneLayout at(sets_, ways_, policy_ == ReplPolicy::LRU,
                          innerBytes_);
-    tags_ = reinterpret_cast<std::uint64_t *>(planes);
-    meta_ = reinterpret_cast<SetMeta *>(planes + at.metaAt);
-    age_ = reinterpret_cast<std::uint32_t *>(planes + at.ageAt);
-    inner_ = reinterpret_cast<std::uint8_t *>(planes + at.innerAt);
-    owner_ = reinterpret_cast<std::uint8_t *>(planes + at.ownerAt);
+    std::byte *base = planes_.data();
+    tags_ = reinterpret_cast<std::uint64_t *>(base);
+    meta_ = reinterpret_cast<SetMeta *>(base + at.metaAt);
+    age_ = reinterpret_cast<std::uint32_t *>(base + at.ageAt);
+    inner_ = reinterpret_cast<std::uint8_t *>(base + at.innerAt);
+    owner_ = reinterpret_cast<std::uint8_t *>(base + at.ownerAt);
 
     if (policy_ == ReplPolicy::TreePLRU) {
         leaves_ = plruLeaves(ways_);

@@ -7,9 +7,8 @@
  * only victim selection is restricted to the accessor's mask; and
  * changing a mask never flushes resident data.
  *
- * State lives in flat contiguous planes carved from one zeroed block
- * (DESIGN.md "cache engine layout") — the cache's own, or a slice of
- * its hierarchy's shared block: per-way tags and
+ * State lives in flat contiguous planes carved from one block per
+ * cache (DESIGN.md "cache engine layout"): per-way tags and
  * inserter/owner ids, one packed @ref SetMeta record per set (valid,
  * dirty and replacement words), and, for inclusive caches, a
  * core-valid directory sized to the core count. Replacement
@@ -32,7 +31,6 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
-#include <optional>
 #include <vector>
 
 #include "common/logging.hh"
@@ -152,21 +150,9 @@ class SetAssocCache
      *                    64 cores, and none above 64 (back-invalidation
      *                    then probes every core). Ignored unless
      *                    cfg.inclusive.
-     * @param planes      zeroed storage of planeBytes(cfg, innerCores)
-     *                    bytes, 64-byte aligned, that outlives the
-     *                    cache; nullptr maps a block the cache owns.
      */
     explicit SetAssocCache(const CacheConfig &cfg, std::uint64_t seed = 1,
-                           unsigned innerCores = 64,
-                           std::byte *planes = nullptr);
-
-    /**
-     * Plane storage a cache of @p cfg tracking @p innerCores needs, a
-     * multiple of 64 bytes so caches carved back to back from one
-     * block stay cache-line aligned.
-     */
-    static std::size_t planeBytes(const CacheConfig &cfg,
-                                  unsigned innerCores = 64);
+                           unsigned innerCores = 64);
 
     /**
      * Demand access (read or write) by partition @p slot.
@@ -545,8 +531,8 @@ class SetAssocCache
     unsigned innerBytes_; //!< directory entry width; 0 = none
 
     // ---- flat planes (cache engine layout; see DESIGN.md) -----------
-    /** Backing store of every plane below, unless the caller gave one. */
-    std::optional<ZeroedBlock> ownPlanes_;
+    /** Backing store of every plane below. */
+    ZeroedBlock planes_;
     /** tag[set*ways+way] = lineAddr+1; 0 means invalid. */
     std::uint64_t *tags_;
     /** One valid/dirty/replacement record per set. */
