@@ -69,57 +69,62 @@ class Parser
             return std::nullopt;
         std::string out;
         while (pos_ < s_.size()) {
+            // Append the run up to the next quote or escape in one call.
+            std::size_t end = pos_;
+            while (end < s_.size() && s_[end] != '"' && s_[end] != '\\')
+                ++end;
+            out.append(s_, pos_, end - pos_);
+            pos_ = end;
+            if (pos_ == s_.size())
+                break;
             const char c = s_[pos_++];
             if (c == '"')
                 return out;
-            if (c == '\\') {
-                if (pos_ >= s_.size())
+            // c is a backslash.
+            if (pos_ >= s_.size())
+                return std::nullopt;
+            const char esc = s_[pos_++];
+            switch (esc) {
+              case '"': out += '"'; break;
+              case '\\': out += '\\'; break;
+              case '/': out += '/'; break;
+              case 'b': out += '\b'; break;
+              case 'f': out += '\f'; break;
+              case 'n': out += '\n'; break;
+              case 'r': out += '\r'; break;
+              case 't': out += '\t'; break;
+              case 'u': {
+                if (pos_ + 4 > s_.size())
                     return std::nullopt;
-                const char esc = s_[pos_++];
-                switch (esc) {
-                  case '"': out += '"'; break;
-                  case '\\': out += '\\'; break;
-                  case '/': out += '/'; break;
-                  case 'b': out += '\b'; break;
-                  case 'f': out += '\f'; break;
-                  case 'n': out += '\n'; break;
-                  case 'r': out += '\r'; break;
-                  case 't': out += '\t'; break;
-                  case 'u': {
-                    if (pos_ + 4 > s_.size())
+                unsigned cp = 0;
+                for (int i = 0; i < 4; ++i) {
+                    const char h = s_[pos_++];
+                    cp <<= 4;
+                    if (h >= '0' && h <= '9')
+                        cp |= static_cast<unsigned>(h - '0');
+                    else if (h >= 'a' && h <= 'f')
+                        cp |= static_cast<unsigned>(h - 'a' + 10);
+                    else if (h >= 'A' && h <= 'F')
+                        cp |= static_cast<unsigned>(h - 'A' + 10);
+                    else
                         return std::nullopt;
-                    unsigned cp = 0;
-                    for (int i = 0; i < 4; ++i) {
-                        const char h = s_[pos_++];
-                        cp <<= 4;
-                        if (h >= '0' && h <= '9')
-                            cp |= static_cast<unsigned>(h - '0');
-                        else if (h >= 'a' && h <= 'f')
-                            cp |= static_cast<unsigned>(h - 'a' + 10);
-                        else if (h >= 'A' && h <= 'F')
-                            cp |= static_cast<unsigned>(h - 'A' + 10);
-                        else
-                            return std::nullopt;
-                    }
-                    // Escaped names in our documents are ASCII control
-                    // characters; anything wider encodes as UTF-8.
-                    if (cp < 0x80) {
-                        out += static_cast<char>(cp);
-                    } else if (cp < 0x800) {
-                        out += static_cast<char>(0xC0 | (cp >> 6));
-                        out += static_cast<char>(0x80 | (cp & 0x3F));
-                    } else {
-                        out += static_cast<char>(0xE0 | (cp >> 12));
-                        out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
-                        out += static_cast<char>(0x80 | (cp & 0x3F));
-                    }
-                    break;
-                  }
-                  default:
-                    return std::nullopt;
                 }
-            } else {
-                out += c;
+                // Escaped names in our documents are ASCII control
+                // characters; anything wider encodes as UTF-8.
+                if (cp < 0x80) {
+                    out += static_cast<char>(cp);
+                } else if (cp < 0x800) {
+                    out += static_cast<char>(0xC0 | (cp >> 6));
+                    out += static_cast<char>(0x80 | (cp & 0x3F));
+                } else {
+                    out += static_cast<char>(0xE0 | (cp >> 12));
+                    out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
+                    out += static_cast<char>(0x80 | (cp & 0x3F));
+                }
+                break;
+              }
+              default:
+                return std::nullopt;
             }
         }
         return std::nullopt; // unterminated

@@ -11,6 +11,7 @@
 #ifndef CAPART_COMMON_RNG_HH
 #define CAPART_COMMON_RNG_HH
 
+#include <cmath>
 #include <cstdint>
 
 namespace capart
@@ -80,15 +81,33 @@ class Rng
             (static_cast<unsigned __int128>(next()) * bound) >> 64);
     }
 
-    /** Uniform double in [0, 1). */
+    /** The 53 high bits of next(): the integer k that uniform() scales. */
+    std::uint64_t bits53() { return next() >> 11; }
+
+    /** Uniform double in [0, 1): k * 2^-53 for k = bits53(), exactly. */
     double
     uniform()
     {
-        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+        return static_cast<double>(bits53()) * 0x1.0p-53;
     }
 
     /** Bernoulli trial with probability p of returning true. */
     bool chance(double p) { return uniform() < p; }
+
+    /**
+     * The integer form of chance(@p p): `bits53() < chanceBelow(p)`
+     * holds exactly when `chance(p)` would, draw for draw, since
+     * k * 2^-53 < p ⟺ k < ceil(p * 2^53) for integer k.
+     */
+    static std::uint64_t
+    chanceBelow(double p)
+    {
+        if (!(p > 0.0))
+            return 0; // also NaN, which no draw is below
+        if (p >= 1.0)
+            return std::uint64_t{1} << 53;
+        return static_cast<std::uint64_t>(std::ceil(std::ldexp(p, 53)));
+    }
 
   private:
     static std::uint64_t

@@ -265,9 +265,10 @@ profileMissCurve(const AppParams &params, const SystemConfig &system,
 
 NAppRunResult
 runNApp(const std::vector<NAppMember> &members, NPolicy policy,
-        const NAppOptions &opts)
+        const NAppOptions &opts, const std::vector<MissCurve> *curves)
 {
     capart_assert(!members.empty());
+    capart_assert(!curves || curves->size() == members.size());
     const SystemConfig &cfg = opts.system;
     System sys(cfg);
     const unsigned total = sys.llcWays();
@@ -293,8 +294,10 @@ runNApp(const std::vector<NAppMember> &members, NPolicy policy,
         obs[i].latencySensitive = !members[i].continuous;
         if (!need_curves)
             continue;
-        const MissCurve mc = profileMissCurve(
-            members[i].params, cfg, opts.scale, opts.profileAccesses);
+        const MissCurve mc =
+            curves ? (*curves)[i]
+                   : profileMissCurve(members[i].params, cfg, opts.scale,
+                                      opts.profileAccesses);
         obs[i].missCurve = mc.mpkiAtWays;
         obs[i].apki = mc.apki;
         // Pre-run MPKI estimate: the curve read at a fair share of the
@@ -466,8 +469,25 @@ NAppStudy::runPolicy(NPolicy policy)
     const auto it = runs_.find(policy);
     if (it != runs_.end())
         return it->second;
-    return runs_.emplace(policy, runNApp(members_, policy, opts_.run))
+    const bool need_curves =
+        policy == NPolicy::Ucp || policy == NPolicy::Lfoc;
+    return runs_
+        .emplace(policy, runNApp(members_, policy, opts_.run,
+                                 need_curves ? &missCurves() : nullptr))
         .first->second;
+}
+
+const std::vector<MissCurve> &
+NAppStudy::missCurves()
+{
+    if (curves_.empty()) {
+        curves_.reserve(members_.size());
+        for (const NAppMember &m : members_)
+            curves_.push_back(profileMissCurve(m.params, opts_.run.system,
+                                               opts_.run.scale,
+                                               opts_.run.profileAccesses));
+    }
+    return curves_;
 }
 
 NAppPolicySummary

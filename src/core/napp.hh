@@ -118,13 +118,18 @@ struct NAppRunResult
 
 /**
  * Run @p members under @p policy. Curve-driven policies (UCP, LFOC)
- * profile each member's miss curve first; UCP then allocates once up
+ * read each member's miss curve first; UCP then allocates once up
  * front, LFOC keeps re-deciding every decisionWindows windows so its
  * fractional-way bouncing is exercised. Dynamic reuses the hardened
  * Algorithm 6.2 controller with members 1..N-1 as the background set.
+ *
+ * @param curves  member i's curve is (*curves)[i], as profileMissCurve
+ *                gives it under @p opts; null profiles the members
+ *                here. Only UCP and LFOC read it.
  */
 NAppRunResult runNApp(const std::vector<NAppMember> &members,
-                      NPolicy policy, const NAppOptions &opts);
+                      NPolicy policy, const NAppOptions &opts,
+                      const std::vector<MissCurve> *curves = nullptr);
 
 /** Everything the N-app benches report about one (mix, policy) cell. */
 struct NAppPolicySummary
@@ -175,6 +180,12 @@ class NAppStudy
     /** All headline metrics for @p policy. */
     NAppPolicySummary summarize(NPolicy policy);
 
+    /**
+     * Every member's miss curve (profiled once, then cached): the UCP
+     * and LFOC runs read the same curves.
+     */
+    const std::vector<MissCurve> &missCurves();
+
     const std::vector<NAppMember> &members() const { return members_; }
     const NAppStudyOptions &options() const { return opts_; }
 
@@ -182,6 +193,7 @@ class NAppStudy
     std::vector<NAppMember> members_;
     NAppStudyOptions opts_;
     std::vector<std::optional<double>> soloIps_;
+    std::vector<MissCurve> curves_; //!< empty until missCurves()
     std::map<NPolicy, NAppRunResult> runs_;
 };
 

@@ -21,7 +21,7 @@ CacheHierarchy::CacheHierarchy(const HierarchyConfig &cfg,
 
 void
 CacheHierarchy::writebackToLlc(CoreId core, unsigned slot, Addr line,
-                               HierarchyOutcome &out)
+                               Addr fresh, HierarchyOutcome &out)
 {
     // A dirty L2 victim normally hits in the inclusive LLC; if the LLC
     // already dropped the line (it back-invalidates on its own evictions,
@@ -33,6 +33,10 @@ CacheHierarchy::writebackToLlc(CoreId core, unsigned slot, Addr line,
         llc_->noteInnerPresenceAt(llc_->setIndex(line), way, core);
         return;
     }
+    // This fill is the only step of a cascade that can evict `fresh`,
+    // the line the core just took into its L1 or L2: mark the core
+    // first so back-invalidation reaches that copy.
+    llc_->noteInnerPresence(fresh, core);
     const CacheAccessResult res = llc_->fillAbsent(line, true, slot);
     llc_->noteInnerPresenceAt(res.set, res.way, core);
     if (res.evicted)
@@ -41,7 +45,7 @@ CacheHierarchy::writebackToLlc(CoreId core, unsigned slot, Addr line,
 
 void
 CacheHierarchy::writebackToL2(CoreId core, unsigned slot, Addr line,
-                              HierarchyOutcome &out)
+                              Addr fresh, HierarchyOutcome &out)
 {
     // Non-inclusive L2: the line may or may not be resident. Allocate on
     // writeback (victim cache behaviour), cascading any dirty L2 victim.
@@ -49,7 +53,7 @@ CacheHierarchy::writebackToL2(CoreId core, unsigned slot, Addr line,
         return;
     const CacheAccessResult res = l2_[core]->fillAbsent(line, true, 0);
     if (res.evicted && res.victimDirty)
-        writebackToLlc(core, slot, res.victimLine, out);
+        writebackToLlc(core, slot, res.victimLine, fresh, out);
 }
 
 void
@@ -91,28 +95,22 @@ CacheHierarchy::access(CoreId core, unsigned slot, Addr byte_addr,
         out.servedBy = ServiceLevel::L1;
         return out;
     }
-    const std::uint64_t llc_set = llc_->setIndex(line);
-    if (r1.evicted && r1.victimDirty) {
-        // The writeback below may cascade into an LLC fill whose victim
-        // is `line` itself; the directory must already know this core
-        // holds the fresh L1 copy so back-invalidation reaches it.
-        llc_->noteInnerPresence(llc_set, line, core);
-        writebackToL2(core, slot, r1.victimLine, out);
-    }
+    // The writebacks below may cascade into an LLC fill whose victim
+    // is `line` itself; writebackToLlc marks this core on `line` right
+    // before such a fill.
+    if (r1.evicted && r1.victimDirty)
+        writebackToL2(core, slot, r1.victimLine, line, out);
 
     const CacheAccessResult r2 = l2_[core]->access(line, false, 0);
-    if (r2.evicted && r2.victimDirty) {
-        llc_->noteInnerPresence(llc_set, line, core); // same race as above
-        writebackToLlc(core, slot, r2.victimLine, out);
-    }
+    if (r2.evicted && r2.victimDirty)
+        writebackToLlc(core, slot, r2.victimLine, line, out);
     if (r2.hit) {
         out.servedBy = ServiceLevel::L2;
         return out;
     }
 
     out.llcAccess = true;
-    const CacheAccessResult r3 =
-        llc_->accessInSet(llc_set, line, false, slot);
+    const CacheAccessResult r3 = llc_->access(line, false, slot);
     llc_->noteInnerPresenceAt(r3.set, r3.way, core);
     if (r3.evicted)
         handleLlcEviction(r3, out);
@@ -160,7 +158,7 @@ CacheHierarchy::prefetchIntoL1(CoreId core, unsigned slot, Addr line)
     // only remove lines from this L1.
     const CacheAccessResult r1 = l1_[core]->fillAbsent(line, false, 0);
     if (r1.evicted && r1.victimDirty)
-        writebackToL2(core, slot, r1.victimLine, out);
+        writebackToL2(core, slot, r1.victimLine, line, out);
     return out;
 }
 
@@ -177,7 +175,7 @@ CacheHierarchy::prefetchIntoL2(CoreId core, unsigned slot, Addr line)
     // Absent, as in prefetchIntoL1.
     const CacheAccessResult r2 = l2_[core]->fillAbsent(line, false, 0);
     if (r2.evicted && r2.victimDirty)
-        writebackToLlc(core, slot, r2.victimLine, out);
+        writebackToLlc(core, slot, r2.victimLine, line, out);
     return out;
 }
 

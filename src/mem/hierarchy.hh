@@ -80,12 +80,20 @@ class CacheHierarchy
     Cycles latency(ServiceLevel level, Cycles memLatency) const;
 
   private:
-    /** Writeback a dirty line from an L1 into its L2 (cascades outward). */
-    void writebackToL2(CoreId core, unsigned slot, Addr line,
+    /**
+     * Writeback a dirty line from an L1 into its L2 (cascades outward).
+     * @p fresh is the line whose fill displaced it (see writebackToLlc).
+     */
+    void writebackToL2(CoreId core, unsigned slot, Addr line, Addr fresh,
                        HierarchyOutcome &out);
 
-    /** Writeback a dirty line from @p core's L2 into the LLC. */
-    void writebackToLlc(CoreId core, unsigned slot, Addr line,
+    /**
+     * Writeback a dirty line from @p core's L2 into the LLC. @p fresh
+     * is the line @p core just took into its L1 or L2; if the writeback
+     * must fill the LLC, the core is marked on @p fresh first, since
+     * that fill may evict it.
+     */
+    void writebackToLlc(CoreId core, unsigned slot, Addr line, Addr fresh,
                         HierarchyOutcome &out);
 
     /** Handle an LLC eviction: back-invalidate inner copies, count WBs. */

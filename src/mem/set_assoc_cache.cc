@@ -35,18 +35,25 @@ innerPresenceBytes(unsigned cores)
     return cores <= 8 ? 1u : std::bit_ceil(cores) / 8;
 }
 
+/** Words of LRU recency order per set: one byte per way. */
+unsigned
+orderWordsFor(const CacheConfig &cfg)
+{
+    return cfg.repl == ReplPolicy::LRU ? (cfg.ways + 7) / 8 : 0;
+}
+
 /** Byte offsets of each plane in a cache's block, widest first. */
 struct PlaneLayout
 {
-    std::uint64_t metaAt, ageAt, innerAt, ownerAt, bytes;
+    std::uint64_t orderAt, metaAt, innerAt, ownerAt, bytes;
 
-    PlaneLayout(std::uint64_t sets, unsigned ways, bool lru,
+    PlaneLayout(std::uint64_t sets, unsigned ways, unsigned orderWords,
                 unsigned innerBytes)
     {
         const std::uint64_t lines = sets * ways;
-        metaAt = lines * sizeof(std::uint64_t);
-        ageAt = metaAt + sets * sizeof(SetMeta);
-        innerAt = ageAt + (lru ? lines * sizeof(std::uint32_t) : 0);
+        orderAt = lines * sizeof(std::uint64_t);
+        metaAt = orderAt + sets * orderWords * sizeof(std::uint64_t);
+        innerAt = metaAt + sets * sizeof(SetMeta);
         ownerAt = innerAt + lines * innerBytes;
         bytes = ownerAt + lines;
     }
@@ -80,9 +87,9 @@ SetAssocCache::SetAssocCache(const CacheConfig &cfg, std::uint64_t seed,
       // core, so back-invalidation probes only cores that may actually
       // hold the victim.
       innerBytes_(cfg.inclusive ? innerPresenceBytes(innerCores) : 0),
-      planes_(PlaneLayout(sets_, ways_, policy_ == ReplPolicy::LRU,
-                          innerBytes_)
+      planes_(PlaneLayout(sets_, ways_, orderWordsFor(cfg), innerBytes_)
                   .bytes),
+      orderWords_(orderWordsFor(cfg)),
       fullMask_((cfg.ways >= 32) ? ~0u : ((1u << cfg.ways) - 1u)),
       rng_(seed)
 {
@@ -91,12 +98,11 @@ SetAssocCache::SetAssocCache(const CacheConfig &cfg, std::uint64_t seed,
     masks_.assign(slots, WayMask::all(ways_));
     stats_.assign(slots, PartitionStats{});
 
-    const PlaneLayout at(sets_, ways_, policy_ == ReplPolicy::LRU,
-                         innerBytes_);
+    const PlaneLayout at(sets_, ways_, orderWords_, innerBytes_);
     std::byte *base = planes_.data();
     tags_ = reinterpret_cast<std::uint64_t *>(base);
+    order_ = reinterpret_cast<std::uint64_t *>(base + at.orderAt);
     meta_ = reinterpret_cast<SetMeta *>(base + at.metaAt);
-    age_ = reinterpret_cast<std::uint32_t *>(base + at.ageAt);
     inner_ = reinterpret_cast<std::uint8_t *>(base + at.innerAt);
     owner_ = reinterpret_cast<std::uint8_t *>(base + at.ownerAt);
 
@@ -137,17 +143,16 @@ SetAssocCache::invalidate(Addr line)
     if (innerBytes_ != 0)
         storeInner(idx, 0);
     switch (policy_) {
-      case ReplPolicy::LRU:
-        age_[idx] = 0;
-        break;
       case ReplPolicy::BitPLRU:
       case ReplPolicy::NRU:
         m.repl &= ~bit;
         break;
+      case ReplPolicy::LRU:
       case ReplPolicy::Random:
       case ReplPolicy::TreePLRU:
         // Nothing to forget: victim() prefers invalid allowed ways
-        // before consulting policy state.
+        // before consulting policy state, and an LRU order ranks the
+        // valid ways alone correctly wherever the invalid one sits.
         break;
     }
     return res;

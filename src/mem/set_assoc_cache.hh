@@ -10,14 +10,15 @@
  * State lives in flat contiguous planes carved from one block per
  * cache (DESIGN.md "cache engine layout"): per-way tags and
  * inserter/owner ids, one packed @ref SetMeta record per set (valid,
- * dirty and replacement words), and, for inclusive caches, a
- * core-valid directory sized to the core count. Replacement
- * dispatches with a switch on a member enum, so the access path
- * inlines into callers with no virtual calls. The set kernels avoid
- * data-dependent branches: a lookup builds a tag-match mask over all
- * ways, the LRU victim is the minimum of packed (age, way) keys,
- * dirty bits are set by shifts, and tree-PLRU victims descend
- * precomputed per-mask traversal tables (mem/plru_tables.hh).
+ * dirty and replacement words), for LRU caches a per-set recency
+ * order of way indices, and, for inclusive caches, a core-valid
+ * directory sized to the core count. Replacement dispatches with a
+ * switch on a member enum, so the access path inlines into callers
+ * with no virtual calls. The set kernels avoid data-dependent
+ * branches: a lookup builds a tag-match mask over all ways, an LRU
+ * touch moves a way to the front of its set's order with word-wide
+ * byte shifts, dirty bits are set by shifts, and tree-PLRU victims
+ * descend precomputed per-mask traversal tables (mem/plru_tables.hh).
  * tests/test_mem_differential.cc replays random streams
  * against a naive reference model of every policy.
  */
@@ -25,12 +26,10 @@
 #ifndef CAPART_MEM_SET_ASSOC_CACHE_HH
 #define CAPART_MEM_SET_ASSOC_CACHE_HH
 
-#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <limits>
 #include <vector>
 
 #include "common/logging.hh"
@@ -109,7 +108,6 @@ struct SetMeta
     std::uint32_t dirty = 0; //!< bit w set: way w's line is dirty
     /** BitPLRU MRU bits, NRU reference bits or TreePLRU direction bits. */
     std::uint32_t repl = 0;
-    std::uint32_t clock = 0; //!< LRU tick counter
 };
 
 /**
@@ -159,15 +157,7 @@ class SetAssocCache
      * Misses allocate; the victim, if any, is reported for inclusive
      * back-invalidation and dirty writeback by the caller.
      */
-    CacheAccessResult
-    access(Addr line, bool write, unsigned slot = 0)
-    {
-        return accessInSet(setIndex(line), line, write, slot);
-    }
-
-    /** As access, given @p set = setIndex(line) the caller already has. */
-    CacheAccessResult accessInSet(std::uint64_t set, Addr line, bool write,
-                                  unsigned slot);
+    CacheAccessResult access(Addr line, bool write, unsigned slot = 0);
 
     /**
      * Install @p line without demand-counting it (prefetch fill or
@@ -207,14 +197,13 @@ class SetAssocCache
      * or presence is untracked). The mask is sticky until the entry is
      * evicted or invalidated, so it stays a superset of true holders —
      * exactly the core-valid bits an inclusive LLC keeps in hardware.
-     * @p set is setIndex(line), which the caller computes once for
-     * every lookup of the line.
      */
     void
-    noteInnerPresence(std::uint64_t set, Addr line, unsigned core)
+    noteInnerPresence(Addr line, unsigned core)
     {
         if (innerBytes_ == 0)
             return;
+        const std::uint64_t set = setIndex(line);
         noteInnerPresenceAt(set, findWay(set, line), core);
     }
 
@@ -230,6 +219,20 @@ class SetAssocCache
             return;
         const std::uint64_t idx = set * ways_ + static_cast<unsigned>(way);
         storeInner(idx, loadInner(idx) | (1ull << core));
+    }
+
+    /**
+     * Core-valid bits of the resident @p line; 0 if the line is absent
+     * or presence is untracked. Lets tests audit the directory.
+     */
+    std::uint64_t
+    innerPresence(Addr line) const
+    {
+        const std::uint64_t set = setIndex(line);
+        const int way = findWay(set, line);
+        if (innerBytes_ == 0 || way < 0)
+            return 0;
+        return loadInner(set * ways_ + static_cast<unsigned>(way));
     }
 
     /** Inner-presence directory allocated (inclusive caches only). */
@@ -302,19 +305,49 @@ class SetAssocCache
     }
 
   private:
+    /** Bit w set: tags[w] == tag, for a compile-time way count. */
+    template <unsigned W>
+    static std::uint32_t
+    matchTags(const std::uint64_t *tags, std::uint64_t tag)
+    {
+        std::uint32_t match = 0;
+        for (unsigned w = 0; w < W; ++w)
+            match |= static_cast<std::uint32_t>(tags[w] == tag) << w;
+        return match;
+    }
+
     /**
      * Way of @p line within @p set, or -1. Compares every way's tag
      * into a match mask instead of exiting the loop at a data-dependent
-     * way, so the lookup costs no mispredicted branch.
+     * way, so the lookup costs no mispredicted branch. The modelled
+     * associativities get a fully unrolled compare; a loop bounded by
+     * the run-time way count cost an L1 hit about a quarter of its time.
      */
     int
     findWay(std::uint64_t set, Addr line) const
     {
         const std::uint64_t tag = line + 1;
         const std::uint64_t *tags = tags_ + set * ways_;
-        std::uint32_t match = 0;
-        for (unsigned w = 0; w < ways_; ++w)
-            match |= static_cast<std::uint32_t>(tags[w] == tag) << w;
+        std::uint32_t match;
+        switch (ways_) {
+          case 8:
+            match = matchTags<8>(tags, tag);
+            break;
+          case 12:
+            match = matchTags<12>(tags, tag);
+            break;
+          case 16:
+            match = matchTags<16>(tags, tag);
+            break;
+          case 20:
+            match = matchTags<20>(tags, tag);
+            break;
+          default:
+            match = 0;
+            for (unsigned w = 0; w < ways_; ++w)
+                match |= static_cast<std::uint32_t>(tags[w] == tag) << w;
+            break;
+        }
         match &= meta_[set].valid;
         return match ? std::countr_zero(match) : -1;
     }
@@ -370,6 +403,79 @@ class SetAssocCache
         }
     }
 
+    /**
+     * LRU recency order, most recent first: byte p of a set's order
+     * (byte p % 8 of word p / 8) is the way at position p. Words are
+     * stored XORed with the identity order, so the zeroed plane starts
+     * as the order 0, 1, ..., ways-1 with no initialising pass; bytes
+     * past the last way keep their position as value and never match
+     * a way.
+     */
+    static constexpr std::uint64_t kOrderOnes = 0x0101010101010101ULL;
+
+    /** The identity order's word @p k (positions 8k .. 8k+7). */
+    static constexpr std::uint64_t
+    orderIdentity(unsigned k)
+    {
+        return 0x0706050403020100ULL + k * 0x0808080808080808ULL;
+    }
+
+    /**
+     * Move @p way to the front of @p set's order: the bytes before its
+     * position shift up by one, carrying across words, and the bytes
+     * after it stay. The way's byte is found by SWAR zero-byte search;
+     * the lowest flagged byte is exact.
+     */
+    void
+    lruTouch(std::uint64_t set, unsigned way)
+    {
+        std::uint64_t *o = order_ + set * orderWords_;
+        const std::uint64_t pattern = way * kOrderOnes;
+        std::uint64_t carry = way;
+        for (unsigned k = 0;; ++k) {
+            const std::uint64_t x = o[k] ^ orderIdentity(k);
+            const std::uint64_t y = x ^ pattern;
+            const std::uint64_t found =
+                (y - kOrderOnes) & ~y & (kOrderOnes << 7);
+            if (found != 0) {
+                // Bits up to the lowest flag: the bytes up to and
+                // including the way's own.
+                const std::uint64_t upto = found ^ (found - 1);
+                o[k] = ((x ^ ((x ^ (x << 8)) & upto)) | carry) ^
+                       orderIdentity(k);
+                return;
+            }
+            o[k] = ((x << 8) | carry) ^ orderIdentity(k);
+            carry = x >> 56;
+        }
+    }
+
+    /** Way at position @p pos of @p set's order. */
+    unsigned
+    orderAt(std::uint64_t set, unsigned pos) const
+    {
+        const std::uint64_t x =
+            order_[set * orderWords_ + pos / 8] ^ orderIdentity(pos / 8);
+        return static_cast<unsigned>(x >> (8 * (pos % 8))) & 0xffu;
+    }
+
+    /**
+     * Least recently used way of @p allowed: the last allowed way in
+     * the order. Every allowed way is valid here, and each was touched
+     * when it was filled, so the order ranks them by last use.
+     */
+    unsigned
+    lruVictim(std::uint64_t set, std::uint32_t allowed) const
+    {
+        if (allowed == fullMask_)
+            return orderAt(set, ways_ - 1);
+        std::uint32_t at = 0; // bit p set: the way at position p is allowed
+        for (unsigned p = 0; p < ways_; ++p)
+            at |= ((allowed >> orderAt(set, p)) & 1u) << p;
+        return orderAt(set,
+                       31u - static_cast<unsigned>(std::countl_zero(at)));
+    }
+
     /** Recency update of @p way in @p set under the configured policy. */
     void
     replTouch(std::uint64_t set, unsigned way)
@@ -377,7 +483,7 @@ class SetAssocCache
         SetMeta &m = meta_[set];
         switch (policy_) {
           case ReplPolicy::LRU:
-            age_[set * ways_ + way] = ++m.clock;
+            lruTouch(set, way);
             return;
           case ReplPolicy::BitPLRU: {
             std::uint32_t bits = m.repl | (1u << way);
@@ -420,21 +526,8 @@ class SetAssocCache
             return static_cast<unsigned>(std::countr_zero(invalid));
 
         switch (policy_) {
-          case ReplPolicy::LRU: {
-            // Minimum of packed keys (age << 6) | way: the oldest
-            // allowed way, ties to the lowest way. Disallowed ways get
-            // bit 63 so they never win; the mask is never empty.
-            const std::uint32_t *age = age_ + set * ways_;
-            std::uint64_t best = std::numeric_limits<std::uint64_t>::max();
-            for (unsigned w = 0; w < ways_; ++w) {
-                const std::uint64_t barred =
-                    static_cast<std::uint64_t>(((allowed >> w) & 1u) ^ 1u)
-                    << 63;
-                best = std::min(best, barred |
-                                          (std::uint64_t{age[w]} << 6) | w);
-            }
-            return static_cast<unsigned>(best & 63u);
-          }
+          case ReplPolicy::LRU:
+            return lruVictim(set, allowed);
           case ReplPolicy::BitPLRU: {
             const std::uint32_t clear = allowed & ~m.repl;
             if (clear != 0)
@@ -537,7 +630,9 @@ class SetAssocCache
     std::uint64_t *tags_;
     /** One valid/dirty/replacement record per set. */
     SetMeta *meta_;
-    std::uint32_t *age_; //!< LRU only: age[set*ways+way]
+    /** LRU only: orderWords_ words of recency order per set. */
+    std::uint64_t *order_;
+    unsigned orderWords_; //!< ceil(ways / 8) for LRU, else 0
     /**
      * Core-valid directory (inclusive caches only): entry
      * set*ways+way is innerBytes_ bytes wide, read and written through
@@ -558,12 +653,12 @@ class SetAssocCache
 };
 
 inline CacheAccessResult
-SetAssocCache::accessInSet(std::uint64_t set, Addr line, bool write,
-                           unsigned slot)
+SetAssocCache::access(Addr line, bool write, unsigned slot)
 {
     capart_assert(slot < stats_.size());
     ++stats_[slot].accesses;
 
+    const std::uint64_t set = setIndex(line);
     const int way = findWay(set, line);
     if (way >= 0) {
         ++stats_[slot].hits;

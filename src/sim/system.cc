@@ -1,6 +1,7 @@
 #include "sim/system.hh"
 
 #include <algorithm>
+#include <array>
 
 #include "common/logging.hh"
 #include "obs/metrics.hh"
@@ -214,8 +215,9 @@ System::stepHt(HwThreadId ht)
 
     QuantumCounts q;
     q.insts = insts;
+    // Demand accesses served by each ServiceLevel, tallied by index.
+    std::array<std::uint64_t, 4> served{};
     std::uint64_t llc_demand = 0;
-    std::uint64_t llc_demand_miss = 0;
     std::uint64_t dram_reads = 0;
     std::uint64_t dram_writes = 0;
     std::uint64_t uncached_bytes = 0;
@@ -237,21 +239,7 @@ System::stepHt(HwThreadId ht)
         }
         const HierarchyOutcome out =
             hierarchy_->access(core, h.app, acc.addr, acc.write);
-        switch (out.servedBy) {
-          case ServiceLevel::L1:
-            ++q.l1Hits;
-            break;
-          case ServiceLevel::L2:
-            ++q.l2Hits;
-            break;
-          case ServiceLevel::LLC:
-            ++q.llcHits;
-            break;
-          case ServiceLevel::Memory:
-            ++q.llcMisses;
-            ++llc_demand_miss;
-            break;
-        }
+        ++served[static_cast<unsigned>(out.servedBy)];
         if (out.llcAccess)
             ++llc_demand;
         dram_reads += out.dramReads;
@@ -272,6 +260,11 @@ System::stepHt(HwThreadId ht)
                 ++prefetch_fills;
         }
     }
+    q.l1Hits = served[static_cast<unsigned>(ServiceLevel::L1)];
+    q.l2Hits = served[static_cast<unsigned>(ServiceLevel::L2)];
+    q.llcHits = served[static_cast<unsigned>(ServiceLevel::LLC)];
+    q.llcMisses = served[static_cast<unsigned>(ServiceLevel::Memory)];
+    const std::uint64_t llc_demand_miss = q.llcMisses;
 
     // Bandwidth available to this app's flow, judged before this
     // quantum's own traffic is posted (competitors + own recent past).

@@ -45,26 +45,46 @@ ThreadWorkload::ThreadWorkload(const AppParams &params, unsigned thread_idx,
     std::uint64_t pattern_pc = (static_cast<std::uint64_t>(base >> 20) << 8);
     double phase_cum = 0.0;
     for (const auto &phase : params.phases) {
-        std::vector<PatternState> states;
+        phaseStart_.push_back(static_cast<unsigned>(patterns_.size()));
         std::vector<double> cdf;
         double cum = 0.0;
         double chase_weight = 0.0;
         for (const auto &pat : phase.patterns) {
-            PatternState st;
+            Pattern st;
+            st.kind = pat.kind;
             st.regionBase = next;
             st.lines = (pat.regionBytes + kLineBytes - 1) / kLineBytes;
             st.cursor =
                 (rng_.below(st.lines) * kLineBytes) % pat.regionBytes;
             st.pc = pattern_pc++;
+            st.regionBytes = pat.regionBytes;
+            st.strideBytes = pat.strideBytes;
+            st.writeBelow = Rng::chanceBelow(pat.writeFraction);
+            st.jumpBelow = Rng::chanceBelow(pat.jumpProbability);
             next += pat.regionBytes + kLineBytes; // pad to avoid aliasing
-            states.push_back(st);
+            patterns_.push_back(st);
             cum += pat.weight;
             cdf.push_back(cum);
             if (pat.kind == PatternKind::PointerChase)
                 chase_weight += pat.weight;
         }
-        state_.push_back(std::move(states));
-        weightCdf_.push_back(std::move(cdf));
+        // Weighted choice draws r = k * 2^-53 * total and takes the
+        // first pattern whose cumulative weight exceeds r. The rounded
+        // product is monotone in k, so "r < cdf[i]" is "k < T" for the
+        // least T at which it fails; binary search finds T exactly.
+        Pattern *pats = patterns_.data() + phaseStart_.back();
+        for (std::size_t i = 0; i < cdf.size(); ++i) {
+            std::uint64_t lo = 0;
+            std::uint64_t hi = std::uint64_t{1} << 53;
+            while (lo < hi) {
+                const std::uint64_t mid = lo + (hi - lo) / 2;
+                if (static_cast<double>(mid) * 0x1.0p-53 * cum < cdf[i])
+                    lo = mid + 1;
+                else
+                    hi = mid;
+            }
+            pats[i].pickBelow = lo;
+        }
 
         const double f = chase_weight / cum;
         phaseMlp_.push_back(1.0 / (f + (1.0 - f) / params.mlp));
@@ -72,6 +92,7 @@ ThreadWorkload::ThreadWorkload(const AppParams &params, unsigned thread_idx,
         phase_cum += phase.instFraction;
         phaseCdf_.push_back(phase_cum);
     }
+    phaseStart_.push_back(static_cast<unsigned>(patterns_.size()));
 }
 
 void
@@ -104,55 +125,66 @@ ThreadWorkload::effectiveMlp(double app_progress) const
 }
 
 unsigned
-ThreadWorkload::pickPattern(unsigned phase_idx)
+ThreadWorkload::pickPattern(const Pattern *pats, unsigned n)
 {
-    const auto &cdf = weightCdf_[phase_idx];
-    if (cdf.size() == 1)
-        return 0;
-    const double r = rng_.uniform() * cdf.back();
-    for (unsigned i = 0; i < cdf.size(); ++i) {
-        if (r < cdf[i])
-            return i;
-    }
-    return static_cast<unsigned>(cdf.size()) - 1;
+    if (n == 1)
+        return 0; // no draw
+    // Thresholds rise with the index, so the patterns a draw is not
+    // below form a prefix whose length is the pick; the last pattern
+    // takes every draw the others do not.
+    const std::uint64_t k = rng_.bits53();
+    unsigned pick = 0;
+    for (unsigned i = 0; i + 1 < n; ++i)
+        pick += k >= pats[i].pickBelow;
+    return pick;
 }
 
 MemAccess
-ThreadWorkload::genAccess(unsigned phase_idx, unsigned pattern_idx)
+ThreadWorkload::genAccess(Pattern &st)
 {
-    const PatternSpec &spec = params_.phases[phase_idx].patterns[pattern_idx];
-    PatternState &st = state_[phase_idx][pattern_idx];
-
     MemAccess acc;
     acc.pc = st.pc;
-    acc.write = rng_.chance(spec.writeFraction);
+    acc.write = rng_.bits53() < st.writeBelow;
 
-    switch (spec.kind) {
+    switch (st.kind) {
       case PatternKind::Sequential:
       case PatternKind::Strided:
-        if (spec.jumpProbability > 0.0 &&
-            rng_.chance(spec.jumpProbability)) {
+        // jumpBelow is 0 exactly when the probability is not positive,
+        // and then no jump is drawn at all.
+        if (st.jumpBelow != 0 && rng_.bits53() < st.jumpBelow)
             st.cursor = rng_.below(st.lines) * kLineBytes;
-        }
         acc.addr = st.regionBase + st.cursor;
-        st.cursor += spec.strideBytes;
-        if (st.cursor >= spec.regionBytes)
-            st.cursor %= spec.regionBytes;
+        st.cursor += st.strideBytes;
+        if (st.cursor >= st.regionBytes)
+            st.cursor %= st.regionBytes;
         break;
       case PatternKind::RandomInRegion:
-      case PatternKind::PointerChase:
-        acc.addr = st.regionBase + rng_.below(st.lines) * kLineBytes +
-                   rng_.below(kLineBytes / 8) * 8;
+      case PatternKind::PointerChase: {
+        // The word within the line is drawn before the line: the order
+        // the reference streams were recorded with.
+        const std::uint64_t word = rng_.below(kLineBytes / 8);
+        const std::uint64_t line = rng_.below(st.lines);
+        acc.addr = st.regionBase + line * kLineBytes + word * 8;
         break;
+      }
       case PatternKind::StreamUncached:
         acc.addr = st.regionBase + st.cursor;
-        st.cursor += spec.strideBytes;
-        if (st.cursor >= spec.regionBytes)
-            st.cursor %= spec.regionBytes;
+        st.cursor += st.strideBytes;
+        if (st.cursor >= st.regionBytes)
+            st.cursor %= st.regionBytes;
         acc.uncached = true;
         break;
     }
     return acc;
+}
+
+void
+ThreadWorkload::emit(unsigned phase_idx, std::uint64_t n, MemAccess *dst)
+{
+    Pattern *pats = patterns_.data() + phaseStart_[phase_idx];
+    const unsigned count = phaseStart_[phase_idx + 1] - phaseStart_[phase_idx];
+    for (std::uint64_t i = 0; i < n; ++i)
+        dst[i] = genAccess(pats[pickPattern(pats, count)]);
 }
 
 Insts
@@ -172,9 +204,9 @@ ThreadWorkload::runQuantum(Insts max_insts, double app_progress,
     auto accesses = static_cast<std::uint64_t>(exact);
     memCarry_ = exact - static_cast<double>(accesses);
 
-    out.reserve(out.size() + accesses);
-    for (std::uint64_t i = 0; i < accesses; ++i)
-        out.push_back(genAccess(phase_idx, pickPattern(phase_idx)));
+    const std::size_t first = out.size();
+    out.resize(first + accesses);
+    emit(phase_idx, accesses, out.data() + first);
 
     retired_ += insts;
     return insts;
@@ -200,9 +232,7 @@ ThreadWorkload::runQuantum(Insts max_insts, double app_progress,
     // One claim for the whole known-size block; the emit loop writes
     // through a raw cursor with no growth checks. RNG consumption per
     // access is identical to the vector overload above.
-    MemAccess *dst = ring.claim(accesses);
-    for (std::uint64_t i = 0; i < accesses; ++i)
-        dst[i] = genAccess(phase_idx, pickPattern(phase_idx));
+    emit(phase_idx, accesses, ring.claim(accesses));
     ring.commit(accesses);
 
     retired_ += insts;

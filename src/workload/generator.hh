@@ -94,20 +94,39 @@ class ThreadWorkload
     unsigned threadIdx() const { return threadIdx_; }
 
   private:
-    /** Mutable per-pattern cursor state. */
-    struct PatternState
+    /**
+     * One pattern of one phase: its spec in the form the emit loop
+     * reads, its precomputed draw thresholds, and its cursor.
+     */
+    struct Pattern
     {
-        Addr regionBase = 0;    //!< absolute byte base of the region
-        Addr cursor = 0;        //!< byte offset for walking patterns
-        std::uint64_t pc = 0;   //!< synthetic IP of this pattern
-        std::uint64_t lines = 0; //!< region size in lines
+        PatternKind kind = PatternKind::RandomInRegion;
+        Addr regionBase = 0;       //!< absolute byte base of the region
+        Addr cursor = 0;           //!< byte offset for walking patterns
+        std::uint64_t pc = 0;      //!< synthetic IP of this pattern
+        std::uint64_t lines = 0;   //!< region size in lines
+        std::uint64_t regionBytes = 0;
+        std::uint64_t strideBytes = 0;
+        /** Rng::chanceBelow of the write fraction. */
+        std::uint64_t writeBelow = 0;
+        /** Rng::chanceBelow of the jump probability; 0 draws no jump. */
+        std::uint64_t jumpBelow = 0;
+        /**
+         * A draw k = bits53() picks this pattern or an earlier one iff
+         * k < pickBelow, i.e. iff `k * 2^-53 * total < cdf` for the
+         * phase's total weight and this pattern's cumulative weight.
+         */
+        std::uint64_t pickBelow = 0;
     };
 
-    /** Pick a pattern index within @p phase by weight. */
-    unsigned pickPattern(unsigned phase_idx);
+    /** Pick a pattern among the @p n patterns at @p pats by weight. */
+    unsigned pickPattern(const Pattern *pats, unsigned n);
 
-    /** Produce one access from pattern @p p of phase @p phase_idx. */
-    MemAccess genAccess(unsigned phase_idx, unsigned pattern_idx);
+    /** Produce one access from pattern @p pat. */
+    MemAccess genAccess(Pattern &pat);
+
+    /** Emit @p n accesses of phase @p phase_idx to @p dst. */
+    void emit(unsigned phase_idx, std::uint64_t n, MemAccess *dst);
 
     /** Owned copy: the caller's AppParams may move after construction. */
     AppParams params_;
@@ -117,10 +136,10 @@ class ThreadWorkload
     double memCarry_ = 0.0; //!< fractional accesses carried across quanta
 
     Rng rng_;
-    /** state_[phase][pattern]. */
-    std::vector<std::vector<PatternState>> state_;
-    /** Cumulative pattern weights per phase, for O(#patterns) sampling. */
-    std::vector<std::vector<double>> weightCdf_;
+    /** Every phase's patterns, phase by phase. */
+    std::vector<Pattern> patterns_;
+    /** Phase p's patterns are patterns_[phaseStart_[p], phaseStart_[p+1]). */
+    std::vector<unsigned> phaseStart_;
     /** Cached effective MLP per phase. */
     std::vector<double> phaseMlp_;
     /** Cumulative phase instruction fractions (phase boundary lookup). */

@@ -199,8 +199,9 @@ TEST(StaticPolicies, BiasedSearchImplementsThePaperCriterion)
         best_time = std::min(best_time, pt.fgTime);
     EXPECT_LE(r.fgTime, best_time * (1.0 + opts.tolerance) + 1e-12);
     for (const auto &pt : r.sweep) {
-        if (pt.fgTime <= best_time * (1.0 + opts.tolerance))
+        if (pt.fgTime <= best_time * (1.0 + opts.tolerance)) {
             EXPECT_GE(r.bgThroughput, pt.bgThroughput);
+        }
     }
 }
 
@@ -402,8 +403,9 @@ TEST(DynamicPartitioner, WatchdogFallsBackOnDeadFgTelemetry)
                                 HealthEventKind::FallbackEntered),
               1u);
     for (const HealthEvent &ev : ctrl.healthLog()) {
-        if (ev.kind == HealthEventKind::FallbackEntered)
+        if (ev.kind == HealthEventKind::FallbackEntered) {
             EXPECT_LE(ev.count, 10u) << "settled too slowly";
+        }
     }
 }
 

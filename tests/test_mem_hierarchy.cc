@@ -127,6 +127,68 @@ TEST(Hierarchy, InclusionHoldsWithPartitioningAndRemask)
 }
 
 /**
+ * Every line in core c's L1 or L2 is resident in the LLC with core c's
+ * directory bit set.
+ */
+void
+expectDirectoryCoversInnerCopies(CacheHierarchy &h, unsigned op)
+{
+    for (unsigned c = 0; c < h.numCores(); ++c) {
+        auto check = [&](Addr line, unsigned) {
+            EXPECT_TRUE((h.llc().innerPresence(line) >> c) & 1u)
+                << "op " << op << ": core " << c << " holds line " << line
+                << " without its LLC directory bit";
+        };
+        h.l1(c).forEachResident(check);
+        h.l2(c).forEachResident(check);
+    }
+}
+
+/**
+ * The directory bit of a demanded line is set lazily: only right
+ * before an LLC fill inside a writeback cascade (the one step that can
+ * evict the line mid-access), and otherwise by the access's own LLC
+ * lookup. After every demand, prefetch and remask operation of a
+ * random multi-core stream, the directory must still cover every
+ * inner copy, and the operation's line, if the LLC holds it, must
+ * carry the core's bit: the eager lookup that used to run before each
+ * cascade would have set no bit the operation did not set itself.
+ */
+TEST(Hierarchy, LazyPresenceNoteKeepsDirectoryExact)
+{
+    for (const unsigned cores : {4u, 16u}) {
+        SCOPED_TRACE(cores);
+        CacheHierarchy h(tinyHierarchy(), cores, 5);
+        Rng rng(cores);
+        const unsigned ops = cores == 4 ? 20000 : 8000;
+        for (unsigned op = 0; op < ops; ++op) {
+            const auto core = static_cast<CoreId>(rng.below(cores));
+            const unsigned slot = core % 4;
+            const Addr line = rng.below(2048);
+            const std::uint64_t kind = rng.below(16);
+            if (kind == 0) {
+                const WayMask m(static_cast<std::uint32_t>(
+                    rng.below((1u << 12) - 1) + 1));
+                h.setLlcPartition(slot, m);
+            } else if (kind <= 3) {
+                h.prefetchIntoL1(core, slot, line);
+            } else if (kind <= 6) {
+                h.prefetchIntoL2(core, slot, line);
+            } else {
+                h.access(core, slot, line * kLineBytes, rng.chance(0.4));
+            }
+            if (kind != 0 && h.llc().probe(line)) {
+                ASSERT_TRUE((h.llc().innerPresence(line) >> core) & 1u)
+                    << "op " << op << ": line " << line;
+            }
+            expectDirectoryCoversInnerCopies(h, op);
+            if (HasFailure())
+                return;
+        }
+    }
+}
+
+/**
  * The inclusive LLC's core-valid directory is sized to the core count:
  * 8, 16, 32 or 64 bits per line up to 8, 16, 32 or 64 cores, none
  * above. At every width, a random multi-core stream that forces LLC

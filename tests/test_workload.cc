@@ -7,8 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
+#include <string_view>
 
+#include "common/rng.hh"
 #include "common/units.hh"
 #include "workload/catalog.hh"
 #include "workload/generator.hh"
@@ -272,6 +275,87 @@ TEST(Generator, SequentialCursorWrapsRegion)
 
 // Property: the expected classifications must be internally coherent
 // with the generator parameters that implement them.
+/** 64-bit FNV-1a over @p bytes little-endian bytes of @p v. */
+std::uint64_t
+fnv1a(std::uint64_t h, std::uint64_t v, unsigned bytes)
+{
+    for (unsigned i = 0; i < bytes; ++i) {
+        h ^= (v >> (8 * i)) & 0xffu;
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
+/**
+ * FNV-1a digest of the first @p n accesses of @p app's thread 0 at
+ * @p seed, run at 1/200 scale and restarted whenever it finishes so
+ * the stream crosses every phase boundary.
+ */
+std::uint64_t
+streamDigest(const AppParams &app, std::uint64_t seed, std::size_t n)
+{
+    ThreadWorkload w(app.scaled(0.005), 0, 1, 0x10000000000ULL, seed);
+    std::vector<MemAccess> acc;
+    while (acc.size() < n) {
+        if (w.done())
+            w.restart();
+        const double progress = static_cast<double>(w.retired()) /
+                                static_cast<double>(w.totalWork());
+        w.runQuantum(4000, progress, acc);
+    }
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (std::size_t i = 0; i < n; ++i) {
+        h = fnv1a(h, acc[i].pc, 8);
+        h = fnv1a(h, acc[i].addr, 8);
+        h = fnv1a(h, acc[i].write, 1);
+        h = fnv1a(h, acc[i].uncached, 1);
+    }
+    return h;
+}
+
+TEST(Generator, ClusterRepresentativeStreamsArePinned)
+{
+    // The reference access streams: any change to the generator's draw
+    // order, thresholds or address arithmetic moves these digests, and
+    // a compiler that evaluated two draws in another order would too.
+    const std::map<std::string_view, std::uint64_t> expected = {
+        {"429.mcf", 0xcb26a8057a8f0d0cULL},
+        {"459.GemsFDTD", 0x23ed3179753922f4ULL},
+        {"ferret", 0x363a2f3656b7b6bcULL},
+        {"fop", 0xeaa0d6d8b5ea64c9ULL},
+        {"dedup", 0x5a0f267ae8b52fa1ULL},
+        {"batik", 0xd58644101671b5a7ULL},
+    };
+    for (const std::string_view name : Catalog::clusterRepresentatives()) {
+        const std::uint64_t got =
+            streamDigest(Catalog::byName(std::string(name)), 1, 50000);
+        EXPECT_EQ(got, expected.at(name))
+            << name << ": 0x" << std::hex << got;
+    }
+}
+
+TEST(Rng, ChanceBelowMatchesChanceDrawForDraw)
+{
+    Rng pick(7);
+    for (int trial = 0; trial < 200; ++trial) {
+        // Mix arbitrary, dyadic and edge probabilities.
+        double p = pick.uniform();
+        if (trial % 4 == 1)
+            p = static_cast<double>(pick.below(1024)) / 1024.0;
+        else if (trial % 4 == 2)
+            p = trial % 8 == 2 ? 0.0 : 1.0;
+        const std::uint64_t below = Rng::chanceBelow(p);
+        Rng a(trial);
+        Rng b(trial);
+        for (int i = 0; i < 2000; ++i)
+            ASSERT_EQ(a.chance(p), b.bits53() < below) << "p=" << p;
+    }
+    // A draw exactly at the threshold is not below it.
+    const double p = 0.25;
+    EXPECT_EQ(Rng::chanceBelow(p), std::uint64_t{1} << 51);
+    EXPECT_FALSE(static_cast<double>(std::uint64_t{1} << 51) * 0x1.0p-53 < p);
+}
+
 TEST(CatalogProperty, BandwidthSensitiveAppsMoveData)
 {
     for (const auto &a : Catalog::all()) {
