@@ -11,7 +11,6 @@
 #ifndef CAPART_COMMON_RNG_HH
 #define CAPART_COMMON_RNG_HH
 
-#include <cmath>
 #include <cstdint>
 
 namespace capart
@@ -106,7 +105,10 @@ class Rng
             return 0; // also NaN, which no draw is below
         if (p >= 1.0)
             return std::uint64_t{1} << 53;
-        return static_cast<std::uint64_t>(std::ceil(std::ldexp(p, 53)));
+        // p * 2^53 is exact and below 2^53; round it up.
+        const double x = p * 0x1.0p53;
+        const auto t = static_cast<std::uint64_t>(x);
+        return t + (static_cast<double>(t) < x);
     }
 
   private:

@@ -320,8 +320,9 @@ class SetAssocCache
      * Way of @p line within @p set, or -1. Compares every way's tag
      * into a match mask instead of exiting the loop at a data-dependent
      * way, so the lookup costs no mispredicted branch. The modelled
-     * associativities get a fully unrolled compare; a loop bounded by
-     * the run-time way count cost an L1 hit about a quarter of its time.
+     * associativities (8-way L1 and L2, 12- and 20-way LLCs) get a fully
+     * unrolled compare; a loop bounded by the run-time way count cost an
+     * L1 hit about a quarter of its time.
      */
     int
     findWay(std::uint64_t set, Addr line) const
@@ -335,9 +336,6 @@ class SetAssocCache
             break;
           case 12:
             match = matchTags<12>(tags, tag);
-            break;
-          case 16:
-            match = matchTags<16>(tags, tag);
             break;
           case 20:
             match = matchTags<20>(tags, tag);
