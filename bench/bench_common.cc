@@ -706,7 +706,8 @@ representatives()
 std::string
 repLabel(std::size_t idx)
 {
-    return "C" + std::to_string(idx + 1);
+    // append(): GCC 12 reports a false -Wrestrict for "C" + string&&.
+    return std::string("C").append(std::to_string(idx + 1));
 }
 
 } // namespace capart::bench

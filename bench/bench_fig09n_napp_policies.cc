@@ -90,8 +90,11 @@ main(int argc, char **argv)
     double unf_sum[kNumNPolicies] = {};
     unsigned breach_sum[kNumNPolicies] = {};
     for (std::size_t i = 0; i < mixes.size(); ++i) {
-        const std::string mix_label = "m" + std::to_string(mixes[i].variant) +
-                                      "x" + std::to_string(mixes[i].apps);
+        const std::string mix_label =
+            std::string("m")
+                .append(std::to_string(mixes[i].variant))
+                .append("x")
+                .append(std::to_string(mixes[i].apps));
         for (const NPolicy p : kRoster) {
             const exec::NAppPolicyOutcome &po =
                 res[i].napp[static_cast<int>(p)];

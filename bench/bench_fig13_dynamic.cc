@@ -25,7 +25,7 @@ std::string
 signedPct(double ratio)
 {
     const double pct = (ratio - 1) * 100;
-    return (pct >= 0 ? "+" : "") + Table::num(pct, 1);
+    return std::string(pct >= 0 ? "+" : "").append(Table::num(pct, 1));
 }
 
 } // namespace

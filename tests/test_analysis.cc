@@ -79,7 +79,7 @@ TEST(SingleLinkage, ChainingBehaviour)
     // forms ONE cluster at cutoff 1.5 even though the ends are far.
     std::vector<FeatureVector> fs;
     for (int i = 0; i < 6; ++i)
-        fs.push_back(fv("p" + std::to_string(i),
+        fs.push_back(fv(std::string("p").append(std::to_string(i)),
                         {static_cast<double>(i), 0.0}));
     const Dendrogram d = singleLinkage(fs);
     const auto labels = clustersAtDistance(d, 1.5);
