@@ -273,9 +273,10 @@ TEST(Generator, SequentialCursorWrapsRegion)
     EXPECT_EQ(lines.size(), 16u) << "walk wraps within the region";
 }
 
-// Property: the expected classifications must be internally coherent
-// with the generator parameters that implement them.
-/** 64-bit FNV-1a over @p bytes little-endian bytes of @p v. */
+/**
+ * Continue the 64-bit FNV-1a hash @p h over the low @p bytes bytes of
+ * @p v, lowest first.
+ */
 std::uint64_t
 fnv1a(std::uint64_t h, std::uint64_t v, unsigned bytes)
 {
@@ -356,6 +357,8 @@ TEST(Rng, ChanceBelowMatchesChanceDrawForDraw)
     EXPECT_FALSE(static_cast<double>(std::uint64_t{1} << 51) * 0x1.0p-53 < p);
 }
 
+// Property: the expected classifications must be internally coherent
+// with the generator parameters that implement them.
 TEST(CatalogProperty, BandwidthSensitiveAppsMoveData)
 {
     for (const auto &a : Catalog::all()) {
